@@ -185,17 +185,19 @@ def build_format(
     tile_subset = np.asarray(tile_subset, dtype=bool)
     if tile_subset.shape != (tiled.n_tiles,):
         raise ValueError(f"tile_subset must have shape ({tiled.n_tiles},)")
-    tile_idx = np.flatnonzero(tile_subset)
-    pieces = [np.arange(tiled.tile_offsets[i], tiled.tile_offsets[i + 1]) for i in tile_idx]
-    nnz_idx = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
+    # Per-nonzero mask over the tile-major arrays.
+    keep = np.repeat(tile_subset, tiled.stats.nnz)
     matrix = tiled.matrix
 
     if worker.traversal is Traversal.UNTILED_ROW_ORDERED:
-        key = tiled.rows[nnz_idx] * np.int64(max(matrix.n_cols, 1)) + tiled.cols[nnz_idx]
-        nnz_idx = nnz_idx[np.argsort(key, kind="stable")]
-        rows = tiled.rows[nnz_idx]
-        cols = tiled.cols[nnz_idx]
-        vals = tiled.vals[nnz_idx]
+        # Canonical SparseMatrix storage is already (row, col)-sorted, so
+        # scattering the mask back through ``perm`` selects the subset in
+        # row-major order without an argsort.
+        sel = np.empty(keep.shape[0], dtype=bool)
+        sel[tiled.perm] = keep
+        rows = matrix.rows[sel]
+        cols = matrix.cols[sel]
+        vals = matrix.vals[sel]
         if worker.sparse_format is SparseFormat.COO_LIKE:
             return UntiledCoo(matrix.n_rows, matrix.n_cols, rows, cols, vals)
         counts = np.bincount(rows, minlength=matrix.n_rows)
@@ -204,37 +206,31 @@ def build_format(
         return UntiledCsr(matrix.n_rows, matrix.n_cols, indptr, cols, vals)
 
     # Tiled traversal: nonzeros already tile-major inside TiledMatrix.
-    rows = tiled.rows[nnz_idx]
-    cols = tiled.cols[nnz_idx]
-    vals = tiled.vals[nnz_idx]
-    sizes = tiled.tile_offsets[tile_idx + 1] - tiled.tile_offsets[tile_idx]
-    offsets = np.zeros(tile_idx.shape[0] + 1, dtype=np.int64)
+    rows = tiled.rows[keep]
+    cols = tiled.cols[keep]
+    vals = tiled.vals[keep]
+    sizes = tiled.stats.nnz[tile_subset]
+    offsets = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    tile_row = tiled.stats.tile_row[tile_idx]
-    tile_col = tiled.stats.tile_col[tile_idx]
+    tile_row = tiled.stats.tile_row[tile_subset]
+    tile_col = tiled.stats.tile_col[tile_subset]
     if worker.sparse_format is SparseFormat.COO_LIKE:
         return TiledCoo(
             matrix.n_rows, matrix.n_cols, tile_row, tile_col, offsets, rows, cols, vals
         )
 
-    # Tiled CSR: local indptr per tile over the (clipped) tile height.
+    # Tiled CSR: a local indptr per tile over the (clipped) tile height.
+    # Shifting each row to its slot in the concatenated indptrs lets one
+    # bincount + cumsum build them all, less each tile's starting count.
     th = tiled.tile_height
-    indptr_chunks = []
-    indptr_offsets = np.zeros(tile_idx.shape[0], dtype=np.int64)
-    pos = 0
-    for j, t in enumerate(tile_idx):
-        lo, hi = offsets[j], offsets[j + 1]
-        base = int(tile_row[j]) * th
-        height = min(th, matrix.n_rows - base)
-        counts = np.bincount(rows[lo:hi] - base, minlength=height)
-        local = np.zeros(height + 1, dtype=np.int64)
-        np.cumsum(counts, out=local[1:])
-        indptr_chunks.append(local)
-        indptr_offsets[j] = pos
-        pos += height + 1
-    indptrs = (
-        np.concatenate(indptr_chunks) if indptr_chunks else np.zeros(0, dtype=np.int64)
+    panel_base = tile_row * th
+    slots = np.minimum(th, matrix.n_rows - panel_base) + 1
+    indptr_offsets = np.cumsum(slots) - slots
+    counts = np.bincount(
+        rows + np.repeat(indptr_offsets + 1 - panel_base, sizes),
+        minlength=int(slots.sum()),
     )
+    indptrs = np.cumsum(counts) - np.repeat(offsets[:-1], slots)
     return TiledCsr(
         n_rows=matrix.n_rows,
         n_cols=matrix.n_cols,

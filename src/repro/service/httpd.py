@@ -50,6 +50,9 @@ __all__ = ["PlanHTTPServer", "PlanRequestHandler", "make_server"]
 class PlanRequestHandler(BaseHTTPRequestHandler):
     server: "PlanHTTPServer"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a reply is two sends (headers, body), and with Nagle on
+    #: the body waits ~40 ms for the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     #: Status of the last reply, for span annotation.
     _last_status: int = 0

@@ -134,13 +134,7 @@ class TiledMatrix:
             uniq_cids=uniq_cids,
         )
 
-        # Per-panel statistics.  Each matrix row lives in exactly one panel,
-        # so the distinct rows of a panel are the distinct row values binned
-        # by panel index.
-        present_rows = np.unique(matrix.rows)
-        self.panel_uniq_rids = np.bincount(
-            present_rows // tile_height, minlength=max(self.n_panel_rows, 1)
-        ).astype(np.int64)
+        self.panel_uniq_rids = _panel_uniq_rids(matrix, tile_height, self.n_panel_rows)
         self.panel_nnz = np.bincount(
             trow, minlength=max(self.n_panel_rows, 1)
         ).astype(np.int64)
@@ -162,17 +156,17 @@ class TiledMatrix:
         vals: np.ndarray,
         tile_offsets: np.ndarray,
         stats: TileStats,
-        panel_uniq_rids: np.ndarray,
         panel_nnz: np.ndarray,
     ) -> "TiledMatrix":
         """Assemble a tiling from precomputed parts, skipping the argsort.
 
         Trusted internal constructor for the incremental delta-merge path
-        (:mod:`repro.streaming.apply`), which repairs every field so that
-        the result is bit-identical to ``TiledMatrix(matrix, th, tw)``.
-        The inverse permutation is refreshed eagerly: the merge already
-        holds the new ``perm``, so one scatter keeps the cache warm instead
-        of invalidating it.
+        (:mod:`repro.streaming.apply`), which repairs every other field so
+        that the result is bit-identical to ``TiledMatrix(matrix, th, tw)``;
+        the panel distinct rows are derived here as there.  The inverse
+        permutation is refreshed eagerly: the merge already holds the new
+        ``perm``, so one scatter keeps the cache warm instead of
+        invalidating it.
         """
         self = object.__new__(cls)
         self.matrix = matrix
@@ -186,7 +180,7 @@ class TiledMatrix:
         self.vals = vals
         self.tile_offsets = tile_offsets
         self.stats = stats
-        self.panel_uniq_rids = panel_uniq_rids
+        self.panel_uniq_rids = _panel_uniq_rids(matrix, tile_height, n_panel_rows)
         self.panel_nnz = panel_nnz
         inv = np.empty(perm.shape[0], dtype=np.int64)
         inv[perm] = np.arange(perm.shape[0], dtype=np.int64)
@@ -278,6 +272,16 @@ class TiledMatrix:
             f"grid={self.n_panel_rows}x{self.n_panel_cols}, "
             f"non_empty_tiles={self.n_tiles})"
         )
+
+
+def _panel_uniq_rids(matrix: SparseMatrix, tile_height: int, n_panel_rows: int) -> np.ndarray:
+    """Distinct nonzero rows per row panel: a row lives in one panel, so these
+    are the non-empty rows, read off the cached CSR ``indptr`` without a
+    sort, binned by panel index."""
+    present_rows = np.flatnonzero(np.diff(matrix.indptr()))
+    return np.bincount(
+        present_rows // tile_height, minlength=max(n_panel_rows, 1)
+    ).astype(np.int64)
 
 
 def _unique_per_segment(

@@ -318,18 +318,14 @@ def apply_delta_tiled(
         uniq_cids=uniq_cids,
     )
 
-    # Panel stats: nnz patched by net change; distinct rows re-derived from
-    # the already-patched CSR indptr (O(n_rows)).
+    # Panel nnz patched by net change; ``_from_parts`` re-derives the
+    # distinct rows from the already-patched CSR indptr.
     n_panels = max(tiled.n_panel_rows, 1)
     panel_nnz = (
         tiled.panel_nnz
         + np.bincount(info.ins_rows // th, minlength=n_panels).astype(np.int64)
         - np.bincount(info.del_rows // th, minlength=n_panels).astype(np.int64)
     )
-    present_rows = np.flatnonzero(np.diff(new_matrix.indptr()) > 0)
-    panel_uniq_rids = np.bincount(
-        present_rows // th, minlength=n_panels
-    ).astype(np.int64)
 
     result = TiledMatrix._from_parts(
         matrix=new_matrix,
@@ -343,7 +339,6 @@ def apply_delta_tiled(
         vals=vals,
         tile_offsets=tile_offsets,
         stats=stats,
-        panel_uniq_rids=panel_uniq_rids,
         panel_nnz=panel_nnz,
     )
     return result, _report(result, rebuilt=False)

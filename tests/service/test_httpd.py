@@ -1,9 +1,12 @@
 """HTTP front-end tests against a live ephemeral-port server."""
 
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -95,6 +98,31 @@ class TestEndpoints:
         base, _ = live_server
         assert http(base, "/nope")[0] == 404
         assert http(base, "/nope", {"x": 1})[0] == 404
+
+
+class TestKeepAliveLatency:
+    def test_store_reads_not_stalled_by_delayed_ack(self, live_server):
+        """A reply is two sends (headers, body).  With Nagle's algorithm on,
+        the body would wait for the client's delayed ACK of the headers,
+        about 40 ms on every keep-alive read."""
+        base, _ = live_server
+        assert http(base, "/plan", RMAT)[0] == 200
+        host, port = base[len("http://"):].split(":")
+        conn = HTTPConnection(host, int(port), timeout=30)
+        body = json.dumps(RMAT).encode()
+        headers = {"Content-Type": "application/json"}
+        times = []
+        try:
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("POST", "/plan", body=body, headers=headers)
+                resp = conn.getresponse()
+                reply = json.loads(resp.read())
+                times.append(time.perf_counter() - t0)
+                assert resp.status == 200 and reply["served"] == "store"
+        finally:
+            conn.close()
+        assert statistics.median(times) < 0.020, times
 
 
 class TestErrorMapping:

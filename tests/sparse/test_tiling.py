@@ -117,6 +117,24 @@ class TestPanels:
             ]
             assert tiled.panel_uniq_rids[panel] == np.unique(rows_in_panel).size
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # empty rows inside panels and whole empty panels (rows 16..47)
+            SparseMatrix(70, 9, [0, 0, 2, 5, 13, 48, 48, 69], [1, 8, 0, 3, 3, 2, 7, 4]),
+            SparseMatrix.empty(70, 9),
+            SparseMatrix.empty(0, 0),
+        ],
+        ids=["empty-rows", "no-nonzeros", "zero-rows"],
+    )
+    def test_panel_uniq_rids_matches_unique_count(self, matrix):
+        tiled = TiledMatrix(matrix, 8, 4)
+        expected = np.bincount(
+            np.unique(matrix.rows) // 8, minlength=max(tiled.n_panel_rows, 1)
+        ).astype(np.int64)
+        assert tiled.panel_uniq_rids.dtype == expected.dtype
+        assert np.array_equal(tiled.panel_uniq_rids, expected)
+
     def test_panel_nnz(self, mixed_matrix):
         tiled = TiledMatrix(mixed_matrix, 64, 64)
         assert tiled.panel_nnz.sum() == mixed_matrix.nnz
