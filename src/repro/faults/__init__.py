@@ -2,8 +2,9 @@
 
 See ``docs/faults.md``.  Three layers:
 
-- :mod:`repro.faults.schedule` -- seeded :class:`FaultSchedule` consumed
-  by the simulator (``simulate(..., faults=...)``),
+- :mod:`repro.faults.schedule` -- seeded :class:`FaultSchedule` that the
+  simulator's event loop applies (``repro.sim.engine.simulate(...,
+  faults=...)``),
 - :mod:`repro.faults.errors` -- the retryable/terminal error taxonomy and
   :class:`StructuredError` record the planning service carries,
 - :mod:`repro.faults.retry` / :mod:`repro.faults.chaos` -- bounded

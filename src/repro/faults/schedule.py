@@ -1,8 +1,8 @@
 """Deterministic, seeded fault schedules for the fluid simulator.
 
 A :class:`FaultSchedule` is an immutable, time-sorted set of injection
-events consumed by :func:`repro.sim.faulted.simulate_faulted` (reached
-through ``simulate(..., faults=schedule)``):
+events that ``repro.sim.engine.simulate(..., faults=schedule)`` applies
+inside its fluid event loop:
 
 - :class:`WorkerSlowdown` -- from ``t_s`` on, instance ``index`` of the
   ``kind`` group computes ``factor``x slower (``factor >= 1``; memory
@@ -23,7 +23,8 @@ Schedules serialize to/from a small JSON document (``docs/faults.md``)
 and :meth:`FaultSchedule.random` draws a reproducible schedule from a
 seed and per-type expected event counts -- the generator behind
 ``hottiles resilience`` and the chaos load generator.  An empty schedule
-is a strict no-op: ``simulate`` takes the untouched bit-identical path.
+is a strict no-op: ``simulate`` injects nothing and its result stays
+bit-identical to a fault-free run.
 """
 
 from __future__ import annotations

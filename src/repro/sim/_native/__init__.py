@@ -66,7 +66,7 @@ def _select(name: str, jit: bool):
 def run_fluid(
     arch, plans, *, jit: bool = True
 ) -> Tuple[float, np.ndarray, Tuple[Tuple[float, float], ...]]:
-    """Native twin of ``engine._run_fluid`` (untraced path only).
+    """Native twin of ``engine._run_fluid`` (untraced, fault-free runs only).
 
     Marshals the instance plans into flat arrays, drives the
     :func:`repro.sim._native.kernels.fluid_steps` step machine, and

@@ -139,7 +139,7 @@ def native_fluid() -> Optional[Callable]:
     """The native ``_run_fluid`` twin when the native backend is active.
 
     Returns ``None`` when the python engine should run.  Called by
-    ``engine._run_fluid`` on its untraced path; propagates
+    ``engine._run_fluid`` on its untraced, fault-free path; propagates
     :class:`BackendUnavailable` for explicit-native misconfiguration.
     """
     if active_backend() != "native":

@@ -4,10 +4,6 @@ The paper reports geometric means across the benchmark matrices of the
 memory bandwidth utilization, the cache lines fetched per nonzero, and the
 per-worker-type busy GFLOP/s.  These helpers compute the same aggregates
 from a set of :class:`~repro.sim.engine.SimResult` objects.
-
-This module was named ``repro.sim.trace`` before the span tracer
-(:mod:`repro.obs`) claimed the "trace" vocabulary; ``repro.sim.trace``
-remains as a thin alias so existing imports keep working.
 """
 
 from __future__ import annotations

@@ -1,10 +1,4 @@
-"""Utilization aggregation tests (:mod:`repro.sim.utilization`).
-
-This file was ``test_trace.py`` before the span tracer (:mod:`repro.obs`)
-claimed the "trace" name; the helpers moved to ``repro.sim.utilization``
-and ``repro.sim.trace`` became a compatibility alias (tested at the
-bottom).
-"""
+"""Utilization aggregation tests (:mod:`repro.sim.utilization`)."""
 
 import numpy as np
 import pytest
@@ -154,14 +148,3 @@ class TestBandwidthProfile:
         result = simulate(arch, tiled, assignment, ExecutionMode.SERIAL)
         ends = [t for t, _ in result.bandwidth_profile]
         assert ends[-1] == pytest.approx(result.time_s)
-
-
-class TestTraceModuleAlias:
-    def test_trace_reexports_same_objects(self):
-        # ``repro.sim.trace`` must keep working for existing imports.
-        from repro.sim import trace, utilization
-
-        assert trace.bandwidth_sparkline is utilization.bandwidth_sparkline
-        assert trace.geomean is utilization.geomean
-        assert trace.utilization_row is utilization.utilization_row
-        assert trace.UtilizationRow is utilization.UtilizationRow
