@@ -70,9 +70,6 @@ class ShardAddress:
         self.host = host
         self.port = int(port)
 
-    def as_tuple(self) -> Tuple[str, int]:
-        return self.host, self.port
-
 
 class ClusterRouter:
     """Async front end for N planner shards."""

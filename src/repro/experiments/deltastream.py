@@ -20,9 +20,9 @@ Two differential gates fall out (docs/streaming.md):
 2. the repaired plan's predicted runtime must be within ``epsilon``
    (relative) of the from-scratch plan's.  Repair serves clean tiles
    from cached costs that are bit-identical to recomputing them and
-   runs the cheap cutoff sweep globally, so in practice the two plans
-   agree exactly; the epsilon gate keeps the comparison honest against
-   any future drift in the cache composition.
+   runs the same search as from-scratch partitioning, so the two plans
+   agree exactly and ``epsilon=0`` holds; the gate catches any future
+   drift in the cache composition.
 
 The report also records the repaired-tile fraction per step: the whole
 point of repair is touching less than 100% of the tiles.

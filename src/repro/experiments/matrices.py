@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.sparse import generators
 from repro.sparse.matrix import SparseMatrix
@@ -178,13 +178,3 @@ def profiling_matrices() -> Tuple[SparseMatrix, ...]:
         generators.banded(4096, 60_000, bandwidth=64, seed=102),
         generators.rmat(scale=12, nnz=50_000, seed=103),
     )
-
-
-def table_v_shorts() -> List[str]:
-    """Table V short names in the paper's order."""
-    return list(TABLE_V)
-
-
-def table_viii_shorts() -> List[str]:
-    """Table VIII short names in the paper's order."""
-    return list(TABLE_VIII)

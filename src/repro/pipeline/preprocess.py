@@ -52,21 +52,11 @@ class HotTilesPreprocessor:
 
     ``cache_aware`` enables the Sec. X cache-aware model extension in the
     partitioner -- the strategy knob plan requests expose.
-    ``contention_aware`` selects the water-filling runtime evaluator
-    (:mod:`repro.core.contention`) for candidate scoring on PCIe-attached
-    architectures; disabling it pins the naive Fig. 8 closed forms.
     """
 
-    def __init__(
-        self,
-        arch: Architecture,
-        cache_aware: bool = False,
-        contention_aware: bool = True,
-    ) -> None:
+    def __init__(self, arch: Architecture, cache_aware: bool = False) -> None:
         self.arch = arch
-        self.partitioner = HotTilesPartitioner(
-            arch, cache_aware=cache_aware, contention_aware=contention_aware
-        )
+        self.partitioner = HotTilesPartitioner(arch, cache_aware=cache_aware)
 
     def run(self, matrix: SparseMatrix) -> PreprocessResult:
         """Full pipeline over one sparse matrix.

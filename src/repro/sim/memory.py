@@ -11,7 +11,7 @@ exhausted, which is the classic max-min fair allocation.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -101,11 +101,6 @@ def allocate_rates(
     return rates
 
 
-def total_demand(caps: Sequence[float]) -> float:
-    """Aggregate demand, for diagnostics."""
-    return float(np.sum(np.asarray(caps, dtype=np.float64)))
-
-
 class RateAllocator:
     """Memoized max-min water-filling for a fixed user population.
 
@@ -172,8 +167,3 @@ class RateAllocator:
         if demand.shape != (self.n,):
             raise ValueError(f"demand mask must have shape ({self.n},)")
         return self.rates_for_key(self.mask_key(demand))[0]
-
-    @property
-    def memo_size(self) -> int:
-        """Number of distinct demand sets seen (diagnostics)."""
-        return len(self._memo)

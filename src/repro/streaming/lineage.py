@@ -108,7 +108,7 @@ class MatrixLineage:
         if result is None:
             result = partitioner.partition(tiled)
         self.result = result
-        self.cache: PartitionCache = plan_cache_from(partitioner, tiled, result)
+        self.cache: PartitionCache = plan_cache_from(partitioner, tiled)
         self.meta = meta
         self.deltas_applied = 0
         self.tiles_repaired_total = 0

@@ -124,7 +124,7 @@ class TestSkewHeavyWin:
         tiled = TiledMatrix(skew_matrix, arch.tile_height, arch.tile_width)
         partitioner = HotTilesPartitioner(arch)
         fresh = partitioner.partition(tiled)
-        cache = plan_cache_from(partitioner, tiled, fresh)
+        cache = plan_cache_from(partitioner, tiled)
         outcome = repair_plan(
             partitioner, tiled, cache, np.zeros(0, dtype=np.int64)
         )

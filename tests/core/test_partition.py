@@ -62,6 +62,16 @@ class TestHelpers:
     def test_cutoff_sweep_stops_at_plateau(self):
         assert _cutoff_sweep(np.array([2.0, 2.0, 0.0])) == 0
 
+    def test_cutoff_sweep_is_a_hill_climb_not_a_global_search(self):
+        # MinTime Serial with th = (100, 120), tc = (20, 40), N_hw = 4 and
+        # N_cw = 1: the sort key th - tc ties, the objective rises before
+        # it falls, and the sweep keeps its first local minimum.
+        th, tc = np.array([100.0, 120.0]), np.array([20.0, 40.0])
+        objective = _prefix(th / 4) + _suffix(tc / 1)
+        assert objective.tolist() == [60.0, 65.0, 55.0]
+        assert _cutoff_sweep(objective) == 0
+        assert int(np.argmin(objective)) == 2
+
 
 class TestFirstOfTypeMasks:
     def test_hand_case(self):

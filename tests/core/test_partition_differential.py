@@ -1,0 +1,272 @@
+"""Exact differential test: the one-search partitioner against the frozen
+pre-refactor partitioner in ``reference_partition.py``.
+
+``repro.core.partition`` scores every candidate from one per-tile cost
+table (maximum-reuse and first-of-type variants per worker type), and
+``partition``, ``repair_plan`` and ``exhaustive_partition`` share one
+search over it.  The frozen version re-ran the model with each
+candidate's real first-of-type masks and kept a second copy of the
+search for repair.  Because the model works per tile, element by
+element, both must agree exactly: every comparison here is ``==`` on
+floats and byte-equality on arrays, no tolerances.
+
+Covered: the chosen plan and every candidate (label, mode, assignment
+bytes and dtype, predicted and naive times, scorer, totals, split),
+``predicted_runtime`` on every candidate assignment, ``predict_homogeneous``,
+``exhaustive_partition`` on tilings of at most 12 tiles, the
+``plan_cache_from`` arrays, and three-step ``repair_plan`` chains.
+Inputs: a hypothesis fuzz over R-MAT, uniform and banded matrices, a
+block-split case, and the degenerate matrices (0x0, empty, one nonzero,
+one dense row, one dense column, one tile), each on six architectures and under every
+``cache_aware`` x ``contention_aware`` setting.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.arch.configs import piuma, spade_sextans, spade_sextans_pcie
+from repro.core import partition as new
+from repro.core.traits import WorkerKind
+from repro.experiments.fidelity import skew_heavy_matrix
+from repro.sparse import generators
+from repro.sparse.matrix import SparseMatrix
+from repro.sparse.tiling import TiledMatrix
+from repro.streaming.apply import apply_delta_tiled
+from repro.streaming.delta import DeltaBatch
+from tests.core import reference_partition as ref
+from tests.core.test_partition import tiny_arch
+from tests.core.test_partition_random_traits import random_architectures
+
+ARCHS = {
+    "spade-sextans": spade_sextans(4),
+    "spade-sextans-pcie": spade_sextans_pcie(4),
+    "piuma": piuma(),
+    "tiny-no-hot": tiny_arch(n_hot=0),
+    "tiny-no-cold": tiny_arch(n_cold=0),
+    "tiny-atomic": tiny_arch(atomic=True),
+}
+FLAGS = [(cache, contention) for cache in (False, True) for contention in (False, True)]
+EXHAUSTIVE_MAX_TILES = 12
+REPAIR_STEPS = 3
+
+
+def _empty(n_rows, n_cols):
+    return SparseMatrix(n_rows, n_cols, np.zeros(0, int), np.zeros(0, int))
+
+
+DEGENERATE = {
+    "0x0": lambda: _empty(0, 0),
+    "empty-64": lambda: _empty(64, 64),
+    "one-nonzero": lambda: SparseMatrix(64, 64, [5], [7]),
+    "one-row": lambda: SparseMatrix(64, 64, [3] * 32, list(range(0, 64, 2))),
+    # Tiles narrower than they are high: the hot worker's first-tile Dout
+    # stream then outgrows its Din stream, the only way the paper's hot
+    # workers' time depends on the first-of-type flag.
+    "one-column": lambda: SparseMatrix(256, 1, list(range(0, 256, 2)), [0] * 128),
+    "one-tile": lambda: SparseMatrix(4, 4, [0, 1, 1, 2, 3], [0, 1, 3, 2, 3]),
+}
+
+
+def _ref_mode(mode):
+    return ref.ExecutionMode(mode.value)
+
+
+def assert_same_result(got, want):
+    """One ``PartitionResult`` against the frozen one, field by field."""
+    assert got.label == want.label
+    assert got.mode.value == want.mode.value
+    assert got.assignment.dtype == want.assignment.dtype
+    assert got.assignment.tobytes() == want.assignment.tobytes()
+    assert got.predicted_time_s == want.predicted_time_s
+    assert got.naive_time_s == want.naive_time_s
+    assert got.scorer == want.scorer
+    assert dataclasses.asdict(got.totals) == dataclasses.asdict(want.totals)
+    if want.split is None:
+        assert got.split is None
+    else:
+        assert dataclasses.asdict(got.split) == dataclasses.asdict(want.split)
+
+
+def assert_same_search(got, want):
+    assert_same_result(got.chosen, want.chosen)
+    assert [h.value for h in got.candidates] == [h.value for h in want.candidates]
+    for heuristic, result in got.candidates.items():
+        assert_same_result(result, want.candidates[ref.Heuristic(heuristic.value)])
+
+
+def assert_same_cache(got, want):
+    assert got.tile_keys.dtype == want.tile_keys.dtype
+    assert got.tile_keys.tobytes() == want.tile_keys.tobytes()
+    assert list(got.table) == list(new._TABLE_NAMES)
+    for name in new._TABLE_NAMES:
+        got_arr, want_arr = got.table[name], getattr(want, name)
+        assert got_arr.dtype == want_arr.dtype
+        assert got_arr.tobytes() == want_arr.tobytes()
+
+
+def _outcome(fn):
+    """``fn()`` with any totals as plain values, or the error it raised.
+
+    Asking for a group of zero workers to run tiles divides by zero in
+    both versions; that has to stay the same too.
+    """
+    try:
+        out = fn()
+    except ZeroDivisionError as exc:
+        return "ZeroDivisionError", str(exc)
+    if isinstance(out, tuple):
+        time_s, totals = out
+        return time_s, dataclasses.asdict(totals)
+    return out
+
+
+def assert_same_predictions(got_p, want_p, tiled, assignments):
+    for assignment in assignments:
+        for mode in (new.ExecutionMode.PARALLEL, new.ExecutionMode.SERIAL):
+            got = _outcome(lambda: got_p.predicted_runtime(tiled, assignment, mode))
+            want = _outcome(
+                lambda: want_p.predicted_runtime(tiled, assignment, _ref_mode(mode))
+            )
+            assert got == want
+    for kind in (WorkerKind.HOT, WorkerKind.COLD):
+        got = _outcome(lambda: got_p.predict_homogeneous(tiled, kind))
+        assert got == _outcome(lambda: want_p.predict_homogeneous(tiled, kind))
+
+
+def check_everything(matrix, arch, cache_aware, contention_aware, seed=0):
+    """Every comparison the module docstring lists, on one input."""
+    got_p = new.HotTilesPartitioner(
+        arch, cache_aware=cache_aware, contention_aware=contention_aware
+    )
+    want_p = ref.HotTilesPartitioner(
+        arch, cache_aware=cache_aware, contention_aware=contention_aware
+    )
+    tiled = TiledMatrix(matrix, arch.tile_height, arch.tile_width)
+
+    got, want = got_p.partition(tiled), want_p.partition(tiled)
+    assert_same_search(got, want)
+
+    rng = np.random.default_rng(seed)
+    assignments = [r.assignment for r in got.candidates.values()] + [
+        got.chosen.assignment,
+        rng.random(tiled.n_tiles) < 0.5,
+    ]
+    assert_same_predictions(got_p, want_p, tiled, assignments)
+
+    if tiled.n_tiles <= EXHAUSTIVE_MAX_TILES:
+        assert_same_result(
+            new.exhaustive_partition(got_p, tiled, max_tiles=EXHAUSTIVE_MAX_TILES),
+            ref.exhaustive_partition(want_p, tiled, max_tiles=EXHAUSTIVE_MAX_TILES),
+        )
+
+    got_cache = new.plan_cache_from(got_p, tiled)
+    want_cache = ref.plan_cache_from(want_p, tiled, want)
+    assert_same_cache(got_cache, want_cache)
+    for step in range(REPAIR_STEPS):
+        m = tiled.matrix
+        inserts = 12 if m.n_rows and m.n_cols else 0
+        delta = DeltaBatch.random(
+            m, inserts=inserts, deletes=min(8, m.nnz), seed=seed * 7 + step
+        )
+        tiled, report = apply_delta_tiled(tiled, delta)
+        got_out = new.repair_plan(got_p, tiled, got_cache, report.dirty_tile_keys)
+        want_out = ref.repair_plan(want_p, tiled, want_cache, report.dirty_tile_keys)
+        assert_same_search(got_out.result, want_out.result)
+        assert dataclasses.asdict(got_out.stats) == dataclasses.asdict(want_out.stats)
+        assert_same_cache(got_out.cache, want_out.cache)
+        got_cache, want_cache = got_out.cache, want_out.cache
+
+
+@st.composite
+def fuzz_cases(draw):
+    kind = draw(st.sampled_from(["rmat", "uniform", "banded"]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    scale = draw(st.integers(min_value=3, max_value=9))
+    n = 1 << scale
+    nnz = draw(st.integers(min_value=1, max_value=min(n * n // 8, 2_500)))
+    if kind == "rmat":
+        matrix = generators.rmat(scale=scale, nnz=nnz, seed=seed)
+    elif kind == "uniform":
+        matrix = generators.uniform_random(n, n, nnz, seed=seed)
+    else:
+        # Keep the density reachable inside the band.
+        bandwidth = draw(st.integers(min_value=1, max_value=32))
+        nnz = max(1, min(nnz, n * bandwidth // 4))
+        matrix = generators.banded(n, nnz, bandwidth=bandwidth, seed=seed)
+    arch = draw(st.sampled_from(sorted(ARCHS)))
+    cache_aware, contention_aware = draw(st.sampled_from(FLAGS))
+    return matrix, arch, cache_aware, contention_aware, seed
+
+
+@given(fuzz_cases())
+@settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_fuzz_matches_frozen_partitioner(case):
+    matrix, arch, cache_aware, contention_aware, seed = case
+    check_everything(matrix, ARCHS[arch], cache_aware, contention_aware, seed)
+
+
+@given(
+    random_architectures(),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=2**16),
+    st.sampled_from(FLAGS),
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_random_traits(arch, nnz, seed, flags):
+    # On the paper's machines a hot tile's time depends on its
+    # first-of-type flag only in tiles narrower than they are high;
+    # random traits make every table column matter on ordinary tiles.
+    matrix = generators.uniform_random(48, 48, nnz, seed=seed)
+    check_everything(matrix, arch, *flags, seed=seed)
+
+
+@pytest.mark.parametrize("cache_aware,contention_aware", FLAGS)
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+@pytest.mark.parametrize("matrix", sorted(DEGENERATE))
+def test_degenerate_inputs(matrix, arch, cache_aware, contention_aware):
+    check_everything(DEGENERATE[matrix](), ARCHS[arch], cache_aware, contention_aware)
+
+
+@pytest.fixture(scope="module")
+def skew():
+    return skew_heavy_matrix()
+
+
+@pytest.mark.parametrize("cache_aware,contention_aware", FLAGS)
+@pytest.mark.parametrize("arch", ["piuma", "spade-sextans-pcie"])
+def test_block_split_case(skew, arch, cache_aware, contention_aware):
+    # The committed skew-heavy matrix makes a block split win, so the
+    # split fields and its scoring are compared with a real split set.
+    tiled = TiledMatrix(skew, ARCHS[arch].tile_height, ARCHS[arch].tile_width)
+    chosen = new.HotTilesPartitioner(
+        ARCHS[arch], cache_aware=cache_aware, contention_aware=contention_aware
+    ).partition(tiled).chosen
+    assert chosen.split is not None
+    check_everything(skew, ARCHS[arch], cache_aware, contention_aware, seed=3)
+
+
+def test_partition_models_four_arrays_per_tiling(monkeypatch, small_rmat):
+    # Four model calls per partition: the cost table, nothing per candidate
+    # (the block split's two-row part tables are the only other calls).
+    arch = ARCHS["spade-sextans"]
+    partitioner = new.HotTilesPartitioner(arch)
+    tiled = TiledMatrix(small_rmat, arch.tile_height, arch.tile_width)
+    sizes = []
+    real = partitioner.model.tile_costs
+
+    def counting(tiled_like, traits, first_mask=None):
+        sizes.append(tiled_like.stats.n_tiles)
+        return real(tiled_like, traits, first_mask=first_mask)
+
+    monkeypatch.setattr(partitioner.model, "tile_costs", counting)
+    partitioner.partition(tiled)
+    assert sizes.count(tiled.n_tiles) == 4
+    assert all(size == 2 for size in sizes if size != tiled.n_tiles)

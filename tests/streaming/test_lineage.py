@@ -81,7 +81,7 @@ class TestMatrixLineage:
         assert update.n_tiles == lineage.tiled.n_tiles
         assert 0.0 <= update.hot_nnz_fraction <= 1.0
         np.testing.assert_array_equal(
-            lineage.cache.assignment, update.partition.chosen.assignment
+            lineage.result.chosen.assignment, update.partition.chosen.assignment
         )
 
 

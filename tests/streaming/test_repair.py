@@ -16,6 +16,14 @@ def make_tiled(matrix, arch):
     return TiledMatrix(matrix, arch.tile_height, arch.tile_width)
 
 
+def assert_same_choice(repaired, scratch):
+    """Repair and scratch partitioning run one search over equal tables."""
+    assert repaired.label == scratch.label
+    np.testing.assert_array_equal(repaired.assignment, scratch.assignment)
+    assert repaired.split == scratch.split
+    assert repaired.predicted_time_s == scratch.predicted_time_s
+
+
 class TestRepairParity:
     @pytest.mark.parametrize("arch_fixture", ["spade_sextans_arch", "piuma_arch"])
     def test_all_dirty_repair_reproduces_partition(
@@ -27,7 +35,7 @@ class TestRepairParity:
         partitioner = HotTilesPartitioner(arch)
         tiled = make_tiled(small_rmat, arch)
         full = partitioner.partition(tiled)
-        cache = plan_cache_from(partitioner, tiled, full)
+        cache = plan_cache_from(partitioner, tiled)
         outcome = repair_plan(partitioner, tiled, cache, cache.tile_keys)
         assert outcome.stats.tiles_repaired == cache.n_tiles
         assert outcome.result.chosen.label == full.chosen.label
@@ -47,7 +55,7 @@ class TestRepairParity:
         partitioner = HotTilesPartitioner(spade_sextans_arch)
         tiled = make_tiled(small_rmat, spade_sextans_arch)
         full = partitioner.partition(tiled)
-        cache = plan_cache_from(partitioner, tiled, full)
+        cache = plan_cache_from(partitioner, tiled)
         outcome = repair_plan(
             partitioner, tiled, cache, np.empty(0, dtype=cache.tile_keys.dtype)
         )
@@ -81,6 +89,7 @@ class TestRepairParity:
                 - scratch.chosen.predicted_time_s
             ) / scratch.chosen.predicted_time_s
             assert rel <= EPSILON
+            assert_same_choice(outcome.result.chosen, scratch.chosen)
             assert outcome.stats.repaired_fraction < 1.0
 
     def test_hot_concentrated_churn(self, small_rmat, spade_sextans_arch):
@@ -113,6 +122,7 @@ class TestRepairParity:
                 - scratch.chosen.predicted_time_s
             ) / scratch.chosen.predicted_time_s
             assert rel <= EPSILON
+            assert_same_choice(outcome.result.chosen, scratch.chosen)
 
 
 class TestDeltaReplayExperiment:
