@@ -91,6 +91,10 @@ def plan_endpoint(service: PlanService, payload: Mapping[str, Any]) -> Reply:
     except ServiceClosed as exc:
         return _draining_reply(service, exc)
     except PlanFailed as exc:
+        if exc.error.type == ProtocolError.__name__:
+            # The worker could not build the matrix the request names (a
+            # generator rejected its parameters): malformed, not a failure.
+            return 400, {"error": exc.error.message}, {}
         # Retryable failures answer 503 + Retry-After so well-behaved
         # clients back off and try again; terminal failures stay 500
         # (a retry would reproduce them).  Either way the structured
@@ -106,7 +110,7 @@ def plan_endpoint(service: PlanService, payload: Mapping[str, Any]) -> Reply:
             return 503, body, _retry_headers(retry_after)
         return 500, {"error": str(exc), "error_detail": detail}, {}
     except ProtocolError as exc:
-        # Raised while resolving the matrix inside the worker path.
+        # Raised by ``request.digest()`` for an unreadable ``matrix_path``.
         return 400, {"error": str(exc)}, {}
     return 200, {"served": served, "plan": result.to_dict()}, {}
 

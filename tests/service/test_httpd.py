@@ -152,13 +152,37 @@ class TestErrorMapping:
         assert excinfo.value.code == 400
 
     def test_plan_failure_500(self, live_server):
-        base, _ = live_server
-        status, body, _ = http(
-            base, "/plan",
-            {"generator": {"kind": "rmat", "scale": 4, "nnz": 2000, "seed": 0}},
-        )
+        base, service = live_server
+
+        def boom(request, digest):
+            raise ValueError("bad plan input")
+
+        service._compute = boom
+        status, body, _ = http(base, "/plan", RMAT)
         assert status == 500
-        assert "error" in body
+        assert body["error_detail"]["type"] == "ValueError"
+        assert body["error_detail"]["retryable"] is False
+
+    @pytest.mark.parametrize(
+        "generator,message",
+        [
+            ({"kind": "rmat", "scale": 0, "nnz": 100}, "scale must be positive"),
+            ({"kind": "rmat", "scale": 4, "nnz": 2000}, "cannot place 2000 nonzeros"),
+            ({"kind": "rmat", "scale": 8, "nnz": 70000}, "cannot place 70000 nonzeros"),
+            ({"kind": "uniform", "n_rows": 0, "n_cols": 8, "nnz": 4},
+             "matrix dimensions must be positive"),
+            ({"kind": "rmat", "scale": 8, "nnz": 500, "a": 0.9, "b": 0.2, "c": 0.2},
+             "R-MAT probabilities must be non-negative"),
+            ({"kind": "rmat", "scale": 8, "nnz": 60000, "seed": 1},
+             "target density may be unreachable"),
+        ],
+    )
+    def test_generator_rejection_400(self, live_server, generator, message):
+        base, _ = live_server
+        status, body, _ = http(base, "/plan", {"generator": generator})
+        assert status == 400, body
+        assert body["error"].startswith(f"generator {generator['kind']!r} rejected parameters: ")
+        assert message in body["error"]
 
 
 class TestBackpressureOverHTTP:

@@ -139,6 +139,9 @@ class TestDegradedFallback:
             svc._compute = slow
             try:
                 result, served = svc.plan(rmat_request(), timeout_s=0.05)
+                # Look before the real computation is released: once it
+                # finishes it publishes its own plan under the same digest.
+                stored = svc.store.get(result.digest)
             finally:
                 release.set()
             assert served == "degraded"
@@ -151,7 +154,7 @@ class TestDegradedFallback:
             assert counters["requests_degraded"] == 1
             assert stats["config"]["degraded_fallback"] is True
             # The degraded plan is served, never stored.
-            assert svc.store.get(result.digest) is None
+            assert stored is None
 
     def test_fallback_off_still_raises_plantimeout(self, tmp_path):
         with PlanService(store=PlanStore(tmp_path / "p"), workers=1) as svc:

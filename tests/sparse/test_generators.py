@@ -185,3 +185,14 @@ class TestMycielskian:
     def test_invalid_order(self):
         with pytest.raises(ValueError, match="order"):
             generators.mycielskian(1)
+
+
+class TestSampleUnique:
+    def test_cell_keys_do_not_wrap(self):
+        # Two cells of one column whose rows differ by 2**20: a key of
+        # row * n * n + col wraps int64 at n = 2**22 and would merge them.
+        n = 1 << 22
+        draws = iter([(np.array([1 << 20, 0]), np.array([5, 5]))])
+        rows, cols = generators._sample_unique(lambda k: next(draws), 2, n)
+        assert rows.tolist() == [0, 1 << 20]
+        assert cols.tolist() == [5, 5]
