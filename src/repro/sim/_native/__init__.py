@@ -23,7 +23,7 @@ differential matrix.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def run_fluid(
 ) -> Tuple[float, np.ndarray, Tuple[Tuple[float, float], ...]]:
     """Native twin of ``engine._run_fluid`` (untraced, fault-free runs only).
 
-    Marshals the instance plans into flat arrays, drives the
+    Concatenates the instance plans' phase arrays, drives the
     :func:`repro.sim._native.kernels.fluid_steps` step machine, and
     services its ``NEED_ALLOC`` bounces through the real
     :class:`RateAllocator`.  Returns ``(makespan, completions,
@@ -84,17 +84,10 @@ def run_fluid(
 
     # Instance-major flat phase arrays (all phases, including empty ones,
     # so the iteration budget matches the engine's formula exactly).
-    phase_c_list: List[float] = []
-    phase_b_list: List[float] = []
+    phase_c = np.concatenate([p.phase_c for p in plans])
+    phase_b = np.concatenate([p.phase_b for p in plans])
     phase_off = np.zeros(n + 1, dtype=np.int64)
-    for i, plan in enumerate(plans):
-        for chunk in plan.chunks:
-            for c, b in chunk.phases:
-                phase_c_list.append(c)
-                phase_b_list.append(b)
-        phase_off[i + 1] = len(phase_c_list)
-    phase_c = np.array(phase_c_list, dtype=np.float64)
-    phase_b = np.array(phase_b_list, dtype=np.float64)
+    np.cumsum([p.phase_c.shape[0] for p in plans], out=phase_off[1:])
     total_phases = int(phase_off[-1])
 
     max_rates = np.array([p.traits.mem_rate_bytes_per_sec() for p in plans])

@@ -21,6 +21,7 @@ differential tests together.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -35,17 +36,44 @@ from repro.core.reuse import (
 )
 from repro.core.traits import ReuseType, Task, Traversal, WorkerKind, WorkerTraits
 from repro.sim.memory import allocate_rates
-from repro.sim.worker_sim import (
-    DEFAULT_UNTILED_BLOCK_DIVISOR,
-    Chunk,
-    InstancePlan,
-    _WorkUnit,
-)
+from repro.sim.worker_sim import DEFAULT_UNTILED_BLOCK_DIVISOR
 from repro.sparse.tiling import TiledMatrix
 
 __all__ = ["build_plans_reference", "simulate_reference"]
 
 _EPS = 1e-18
+
+
+@dataclass
+class Chunk:
+    """One instance's contiguous work unit (a panel or a row block)."""
+
+    panel: int
+    phases: List[Tuple[float, float]]  #: (compute seconds, memory bytes)
+    nnz: int
+    bytes_total: float
+
+
+@dataclass
+class InstancePlan:
+    """Everything one worker instance will execute."""
+
+    kind: WorkerKind
+    traits: WorkerTraits
+    chunks: List[Chunk]
+    nnz_total: int
+    flops_total: float
+    bytes_total: float
+
+
+@dataclass
+class _WorkUnit:
+    """Scheduling unit before costing: a set of nonzeros with geometry."""
+
+    panel: int
+    nnz_idx: np.ndarray  #: indices into the tile-permuted nnz arrays
+    height_rows: int  #: row extent (CSR offsets, Dout streaming)
+    tile_idx: Optional[np.ndarray]  #: tiles covered (tiled workers only)
 
 
 def windowed_lru_misses(ids: np.ndarray, capacity_rows: int) -> np.ndarray:

@@ -263,11 +263,13 @@ def _run_fluid(
     being rescanned, and phases that retire without changing the demand
     set -- consecutive phases of the same instance, pure-compute phase
     boundaries -- reuse the standing allocation with no reallocation at
-    all.  Every arithmetic step (rate grants, interval lengths, remaining
-    work updates, clamps) is performed in the same order and with the same
-    IEEE-754 operations as the pre-optimization loop preserved in
-    :mod:`repro.sim._reference`, so results are bit-identical -- pinned by
-    ``tests/sim/test_perf_differential.py``.
+    all.  Each event scans only the unfinished instances, twice: once for
+    the next interval, once to drain, re-derive and retire each instance
+    in turn.  Every arithmetic step (rate grants, interval lengths,
+    remaining work updates, clamps) is performed in the same order and
+    with the same IEEE-754 operations as the pre-optimization loop
+    preserved in :mod:`repro.sim._reference`, so results are bit-identical
+    -- pinned by ``tests/sim/test_perf_differential.py``.
 
     ``faults`` applies a schedule's slowdowns, failures and bandwidth
     windows (docs/faults.md) at event edges: the next event time or window
@@ -276,8 +278,8 @@ def _run_fluid(
     ``t_offset`` apply at its first iteration; events aimed at instances
     outside ``labels`` are dropped.  A slowed instance keeps its nominal
     remaining compute in ``c_nom`` and the wall-clock time it still needs
-    in ``c_rem``, so the per-instance scans stay as they are; one pass
-    over the slowed instances alone re-derives both after every interval.
+    in ``c_rem``, so the interval scan stays as it is; the drain pass
+    re-derives both for it after every interval.
 
     When ``tracer`` is an enabled :class:`~repro.obs.tracer.Tracer`, the
     run is narrated onto virtual-time tracks (one per instance, named by
@@ -306,7 +308,9 @@ def _run_fluid(
     if labels is None:
         labels = [f"instance-{i}" for i in range(n)]
 
-    phase_lists = [[p for c in plan.chunks for p in c.phases] for plan in plans]
+    phase_lists = [
+        list(zip(plan.phase_c.tolist(), plan.phase_b.tolist())) for plan in plans
+    ]
     phase_idx = [0] * n
     c_rem = [0.0] * n
     b_rem = [0.0] * n
@@ -331,14 +335,19 @@ def _run_fluid(
         # phase -> (owning instance, chunk index), per instance; inherited
         # phases keep pointing at the dead owner's chunk.
         chunk_of_phase = [
-            [(i, ci) for ci, c in enumerate(plan.chunks) for _ in c.phases]
+            [
+                (i, ci)
+                for ci in np.repeat(
+                    np.arange(plan.chunk_nnz.shape[0]), np.diff(plan.chunk_phase_off)
+                ).tolist()
+            ]
             for i, plan in enumerate(plans)
         ]
         chunk_start = [t_offset] * n
 
     def _emit_chunk(i: int, key: Tuple[int, int], end: float) -> None:
         owner, ci = key
-        chunk = plans[owner].chunks[ci]
+        plan = plans[owner]
         tracer.complete(
             f"chunk{ci}" if owner == i else f"chunk{ci} ({labels[owner]})",
             ts=chunk_start[i],
@@ -346,9 +355,9 @@ def _run_fluid(
             process=SIM,
             track=labels[i],
             cat="sim",
-            panel=int(chunk.panel),
-            nnz=int(chunk.nnz),
-            bytes=float(chunk.bytes_total),
+            panel=int(plan.chunk_panel[ci]),
+            nnz=int(plan.chunk_nnz[ci]),
+            bytes=float(plan.chunk_bytes[ci]),
         )
         chunk_start[i] = end
 
@@ -370,11 +379,11 @@ def _run_fluid(
         phase_idx[i] = pi
         return False
 
-    n_active = 0
+    active: List[int] = []  # unfinished instances, in index order
     demand_key = 0  # bitmask of instances with pending memory traffic
     for i in range(n):
         if _load_next_phase(i):
-            n_active += 1
+            active.append(i)
             if b_rem[i] > _EPS:
                 demand_key |= 1 << i
         else:
@@ -484,11 +493,9 @@ def _run_fluid(
             t_global = t + t_offset
             if points and points[0].t_s <= t_global:
                 _apply_point_events(t_global)
-                n_active = done.count(False)
-                demand_key = sum(
-                    1 << i for i in range(n) if not done[i] and b_rem[i] > _EPS
-                )
-            if n_active:  # (otherwise the run ends just below)
+                active = [i for i in range(n) if not done[i]]
+                demand_key = sum(1 << i for i in active if b_rem[i] > _EPS)
+            if active:  # (otherwise the run ends just below)
                 factor = 1.0
                 for w in windows:
                     if w.t_start_s <= t_global < w.t_end_s:
@@ -503,7 +510,7 @@ def _run_fluid(
                     _fault_event("fault.bandwidth", t_global, factor=factor)
                 k = bisect_right(edges, t_global + _EPS)
                 dt_edge = edges[k] - t_global if k < len(edges) else _INF
-        if n_active == 0:
+        if not active:
             break
         if demand_key != alloc_key:
             rates_arr, rates_sum = allocator.rates_for_key(demand_key)
@@ -516,7 +523,7 @@ def _run_fluid(
                 process=SIM,
                 track="memory",
                 cat="sim",
-                active=n_active,
+                active=len(active),
                 demanding=(demand_key & pos_rate_mask).bit_count(),
                 granted_bytes_per_s=rates_sum,
             )
@@ -528,9 +535,7 @@ def _run_fluid(
         # Next sub-completion: a demanding instance draining its bytes or
         # a computing instance finishing its compute.
         dt = dt_edge
-        for i in range(n):
-            if done[i]:
-                continue
+        for i in active:
             b = b_rem[i]
             if b > _EPS:
                 r = rates[i]
@@ -545,9 +550,11 @@ def _run_fluid(
             raise RuntimeError("fluid engine stalled: active work but no progress")
         t += dt
         profile.append((t, rates_sum))
-        for i in range(n):
-            if done[i]:
-                continue
+        # One pass per instance: drain, re-derive slowed compute, retire.
+        # Instances only share the standing rates, so this runs each
+        # instance's arithmetic in the order of separate passes.
+        retired = False
+        for i in active:
             b = b_rem[i] - rates[i] * dt
             if b > _EPS:
                 b_rem[i] = b
@@ -556,18 +563,17 @@ def _run_fluid(
                 # residual in (0, eps] but the demand set drops the user.
                 b_rem[i] = b if b > 0.0 else 0.0
                 demand_key &= ~(1 << i)
-            c = c_rem[i] - dt
-            c_rem[i] = c if c > 0.0 else 0.0
-        if slow:
-            for i, s in slow.items():
-                if not done[i]:
-                    c = c_nom[i] - dt / s
-                    c = c if c > 0.0 else 0.0
-                    c_nom[i] = c
-                    c_rem[i] = c * s if c > _EPS else 0.0
-
-        for i in range(n):
-            if done[i] or b_rem[i] > _EPS or c_rem[i] > _EPS:
+            if slow and i in slow:
+                s = slow[i]
+                c = c_nom[i] - dt / s
+                c = c if c > 0.0 else 0.0
+                c_nom[i] = c
+                c = c * s if c > _EPS else 0.0
+            else:
+                c = c_rem[i] - dt
+                c = c if c > 0.0 else 0.0
+            c_rem[i] = c
+            if b > _EPS or c > _EPS:
                 continue
             if tracer is not None:
                 prev_chunk = chunk_of_phase[i][phase_idx[i] - 1]
@@ -580,10 +586,12 @@ def _run_fluid(
                         _emit_chunk(i, prev_chunk, t + t_offset)
                 continue
             done[i] = True
-            n_active -= 1
             completions[i] = t
+            retired = True
             if tracer is not None:
                 _emit_chunk(i, prev_chunk, t + t_offset)
+        if retired:
+            active = [i for i in active if not done[i]]
     else:
         raise RuntimeError("fluid engine exceeded its iteration budget")
     if tracer is not None:

@@ -23,15 +23,22 @@ Responsibilities:
    - the worker's real traversal order (untiled workers sweep row-major
      across tiles; tiled workers go tile by tile).
 
-3. *Phase shaping*: each chunk becomes a list of (compute seconds, bytes)
+3. *Phase shaping*: each chunk becomes a run of (compute seconds, bytes)
    phases according to the worker's overlap groups; the fluid engine
    overlaps compute and memory inside a phase and runs phases in order.
+
+Everything is array-valued.  A worker group's units are flat arrays with
+unit boundaries, every per-unit cost is a segment reduction over them
+(Liu & Vinter's segmented sums), each group is costed once, and an
+:class:`InstancePlan` is a struct of arrays -- no Python object per unit
+or chunk between here and the fluid loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from heapq import heapreplace
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +51,7 @@ from repro.core.traits import ReuseType, Task, Traversal, WorkerKind, WorkerTrai
 from repro.sim.cache import windowed_lru_misses
 from repro.sparse.tiling import TiledMatrix, TileStats, concat_ranges
 
-__all__ = ["Chunk", "InstancePlan", "build_plans", "DEFAULT_UNTILED_BLOCK_DIVISOR"]
+__all__ = ["InstancePlan", "build_plans", "DEFAULT_UNTILED_BLOCK_DIVISOR"]
 
 #: Untiled workers are scheduled in row blocks of
 #: ``tile_height // DEFAULT_UNTILED_BLOCK_DIVISOR`` rows (the paper's
@@ -55,36 +62,51 @@ __all__ = ["Chunk", "InstancePlan", "build_plans", "DEFAULT_UNTILED_BLOCK_DIVISO
 DEFAULT_UNTILED_BLOCK_DIVISOR = UNTILED_BLOCK_DIVISOR
 
 
-@dataclass
-class Chunk:
-    """One instance's contiguous work unit (a panel or a row block)."""
-
-    panel: int
-    phases: List[Tuple[float, float]]  #: (compute seconds, memory bytes)
-    nnz: int
-    bytes_total: float
-
-
-@dataclass
+@dataclass(eq=False)
 class InstancePlan:
-    """Everything one worker instance will execute."""
+    """Everything one worker instance will execute, as flat arrays.
+
+    Chunk ``k`` (a panel or row-block work unit) runs the phases
+    ``chunk_phase_off[k]:chunk_phase_off[k + 1]`` of ``phase_c`` (compute
+    seconds) and ``phase_b`` (memory bytes) in order.
+    """
 
     kind: WorkerKind
     traits: WorkerTraits
-    chunks: List[Chunk]
+    phase_c: np.ndarray  #: float64 compute seconds per phase
+    phase_b: np.ndarray  #: float64 memory bytes per phase
+    chunk_phase_off: np.ndarray  #: int64, one more entry than chunks
+    chunk_panel: np.ndarray
+    chunk_nnz: np.ndarray
+    chunk_bytes: np.ndarray
     nnz_total: int
     flops_total: float
     bytes_total: float
 
 
-@dataclass
-class _WorkUnit:
-    """Scheduling unit before costing: a set of nonzeros with geometry."""
+class _Units(NamedTuple):
+    """One worker group's schedulable units, as flat arrays in unit order.
 
-    panel: int
-    nnz_idx: np.ndarray  #: indices into the tile-permuted nnz arrays
-    height_rows: int  #: row extent (CSR offsets, Dout streaming)
-    tile_idx: Optional[np.ndarray]  #: tiles covered (tiled workers only)
+    Unit ``u`` runs the nonzeros ``nnz_idx[start[u]:end[u]]`` (indices
+    into the tile-permuted arrays) of panel ``panel[u]`` and spans
+    ``height[u]`` rows.  Panel-affine units also cover a run of tiles:
+    ``tiles`` from ``tile_start[u]`` up to the next unit's start (the
+    segments ``np.ufunc.reduceat`` takes); row-block units have no tiles
+    (``None``).
+    """
+
+    nnz_idx: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    panel: np.ndarray
+    height: np.ndarray
+    tiles: Optional[np.ndarray]
+    tile_start: Optional[np.ndarray]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Nonzeros per unit."""
+        return self.end - self.start
 
 
 def build_plans(
@@ -97,8 +119,9 @@ def build_plans(
     """Schedule tiles onto instances and cost them.
 
     Returns ``(hot_plans, cold_plans)``; a group with zero workers (or no
-    assigned tiles) yields an empty list.  ``untiled_block_rows`` overrides
-    the row-block granularity for untiled-traversal workers.
+    assigned tiles) yields an empty list, and instances the scheduler
+    leaves idle get no plan.  ``untiled_block_rows`` overrides the
+    row-block granularity for untiled-traversal workers.
 
     ``split`` applies a :class:`~repro.core.partition.TileSplit`: the split
     tile's leading ``hot_nnz`` nonzeros run on the hot group, the rest on
@@ -119,18 +142,10 @@ def build_plans(
         raise ValueError("tiles assigned to cold workers but architecture has none")
 
     plans = []
-    row_bytes = float(arch.problem.dense_row_bytes)
     for group, mask in ((arch.hot, assignment), (arch.cold, ~assignment)):
         units = _work_units(tiled, mask, group.traits, untiled_block_rows)
-        schedules = [s for s in _balance(units, group.count) if s]
-        din_lists = _din_bytes_per_schedule(
-            tiled, group.traits, arch.problem, schedules, row_bytes
-        )
         plans.append(
-            [
-                _plan_instance(arch, tiled, group.traits, group.traits.kind, sched, din)
-                for sched, din in zip(schedules, din_lists)
-            ]
+            [] if units is None else _plan_group(arch, tiled, group.traits, units, group.count)
         )
     return plans[0], plans[1]
 
@@ -236,17 +251,15 @@ def _work_units(
     mask: np.ndarray,
     traits: WorkerTraits,
     untiled_block_rows: Optional[int],
-) -> List[_WorkUnit]:
-    """Cut this worker type's tiles into schedulable units.
+) -> Optional[_Units]:
+    """Cut this worker type's tiles into schedulable units (``None``: no tiles).
 
-    Fully vectorized: all chosen tiles' nonzero indices are gathered with
-    one :func:`concat_ranges` call and unit boundaries come from segment
-    reductions, instead of a per-tile ``np.arange``/``np.concatenate``
-    Python loop.
+    All chosen tiles' nonzero indices are gathered with one
+    :func:`concat_ranges` call or one boolean scatter, and unit boundaries
+    come from where the panel or row block changes.
     """
     if not mask.any():
-        return []
-    heights = effective_tile_heights(tiled)
+        return None
     offsets = tiled.tile_offsets
     if traits.traversal is Traversal.TILED_ROW_ORDERED or traits.din_reuse in (
         ReuseType.INTRA_TILE_STREAM,
@@ -257,33 +270,19 @@ def _work_units(
         # contiguous run of ``chosen``.
         chosen = np.flatnonzero(mask)
         lengths = offsets[chosen + 1] - offsets[chosen]
-        all_idx = concat_ranges(offsets[chosen], lengths)
         seg_ends = np.cumsum(lengths)
         panels = tiled.stats.tile_row[chosen]
-        unit_start = np.flatnonzero(
-            np.concatenate(([True], panels[1:] != panels[:-1]))
+        tile_start = np.flatnonzero(np.concatenate(([True], panels[1:] != panels[:-1])))
+        heights = effective_tile_heights(tiled)[chosen]
+        return _Units(
+            nnz_idx=concat_ranges(offsets[chosen], lengths),
+            start=seg_ends[tile_start] - lengths[tile_start],
+            end=seg_ends[np.append(tile_start[1:], chosen.size) - 1],
+            panel=panels[tile_start],
+            height=np.maximum.reduceat(heights, tile_start).astype(np.int64),
+            tiles=chosen,
+            tile_start=tile_start,
         )
-        unit_end = np.append(unit_start[1:], chosen.size)
-        unit_heights = np.maximum.reduceat(heights[chosen], unit_start).astype(np.int64)
-        unit_panels = panels[unit_start]
-        unit_lo = seg_ends[unit_start] - lengths[unit_start]
-        unit_hi = seg_ends[unit_end - 1]
-        return [
-            _WorkUnit(
-                panel=panel,
-                nnz_idx=all_idx[lo:hi],
-                height_rows=height,
-                tile_idx=chosen[s:e],
-            )
-            for panel, lo, hi, height, s, e in zip(
-                unit_panels.tolist(),
-                unit_lo.tolist(),
-                unit_hi.tolist(),
-                unit_heights.tolist(),
-                unit_start.tolist(),
-                unit_end.tolist(),
-            )
-        ]
 
     # Untiled traversal: row-block units (the paper's contiguous-row
     # chunks).  Gather the masked nonzeros, order row-major, and split by
@@ -305,342 +304,257 @@ def _work_units(
         sel = np.zeros(tiled.rows.shape[0], dtype=bool)
         sel[tiled.perm[sel_perm]] = True
         nnz_idx = tiled.inverse_perm()[np.flatnonzero(sel)]
-    n = nnz_idx.shape[0]
     blocks = tiled.rows[nnz_idx] // block_rows
     boundaries = np.flatnonzero(np.diff(blocks)) + 1
-    starts = np.concatenate(([0], boundaries))
-    first_rows = blocks[starts] * block_rows
-    unit_heights = np.minimum(block_rows, tiled.matrix.n_rows - first_rows)
-    unit_panels = first_rows // tiled.tile_height
-    ends = np.append(boundaries, n)
-    return [
-        _WorkUnit(
-            panel=panel,
-            nnz_idx=nnz_idx[lo:hi],
-            height_rows=height,
-            tile_idx=None,
-        )
-        for panel, lo, hi, height in zip(
-            unit_panels.tolist(), starts.tolist(), ends.tolist(), unit_heights.tolist()
-        )
-    ]
+    start = np.concatenate(([0], boundaries))
+    first_rows = blocks[start] * block_rows
+    return _Units(
+        nnz_idx=nnz_idx,
+        start=start,
+        end=np.append(boundaries, nnz_idx.shape[0]),
+        panel=first_rows // tiled.tile_height,
+        height=np.minimum(block_rows, tiled.matrix.n_rows - first_rows),
+        tiles=None,
+        tile_start=None,
+    )
 
 
-def _balance(units: List[_WorkUnit], n_instances: int) -> List[List[_WorkUnit]]:
-    """Greedy least-loaded assignment of units to instances, in order."""
-    if n_instances == 0 or not units:
-        return [[] for _ in range(n_instances)]
-    # Plain-list argmin: ties resolve to the lowest instance index, exactly
-    # like np.argmin, without a numpy reduction per unit.
-    loads = [0] * n_instances
-    schedules: List[List[_WorkUnit]] = [[] for _ in range(n_instances)]
-    for unit in units:
-        instance = min(range(n_instances), key=loads.__getitem__)
-        schedules[instance].append(unit)
-        loads[instance] += int(unit.nnz_idx.size)
-    return schedules
+def _balance(sizes: np.ndarray, n_instances: int) -> np.ndarray:
+    """Greedy least-loaded instance of every unit, taken in unit order.
+
+    A heap of ``(load, instance)`` pairs: among equal loads the lowest
+    instance index wins.
+    """
+    heap = [(0, i) for i in range(n_instances)]
+    owner = []
+    for size in sizes.tolist():
+        load, i = heap[0]
+        owner.append(i)
+        heapreplace(heap, (load + size, i))
+    return np.array(owner, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
 # Costing
 # ----------------------------------------------------------------------
-def _plan_instance(
+def _plan_group(
     arch: Architecture,
     tiled: TiledMatrix,
     traits: WorkerTraits,
-    kind: WorkerKind,
-    schedule: List[_WorkUnit],
-    din_bytes: Optional[List[float]] = None,
-) -> InstancePlan:
+    units: _Units,
+    n_instances: int,
+) -> List[InstancePlan]:
+    """Schedule and cost one worker group's units; one plan per busy instance.
+
+    Per-unit costs come out in unit order (only the demand cache needs
+    instance order, see :func:`_din_bytes`) and are then permuted once
+    into instance-major order, where each instance's chunks and phases
+    are contiguous slices of the group's arrays.
+    """
     problem = arch.problem
     row_bytes = float(problem.dense_row_bytes)
+    owner = _balance(units.sizes, n_instances)
+    order = np.argsort(owner, kind="stable")
 
-    sparse_bytes = _sparse_bytes_per_unit(tiled, traits, problem, schedule)
-    if din_bytes is None:
-        din_bytes = _din_bytes_per_unit(tiled, traits, problem, schedule, row_bytes)
-    dout_read, dout_write = _dout_bytes_per_unit(
-        tiled, traits, problem, schedule, row_bytes
-    )
-
-    cycles = traits.cycles_per_nonzero(problem.k, problem.ops_per_nnz)
-    freq = traits.frequency_ghz * 1e9
-
-    n_units = len(schedule)
-    sizes = _unit_sizes(schedule)
+    dout_read, dout_write = _dout_bytes(tiled, traits, problem, units, row_bytes)
     task_arrays = {
-        Task.SPARSE_READ: np.asarray(sparse_bytes, dtype=np.float64),
-        Task.DIN_READ: np.asarray(din_bytes, dtype=np.float64),
-        Task.DOUT_READ: np.asarray(dout_read, dtype=np.float64),
-        Task.DOUT_WRITE: np.asarray(dout_write, dtype=np.float64),
+        Task.SPARSE_READ: _sparse_bytes(tiled, traits, problem, units),
+        Task.DIN_READ: _din_bytes(tiled, traits, units, owner, order, row_bytes),
+        Task.DOUT_READ: dout_read,
+        Task.DOUT_WRITE: dout_write,
     }
-    compute = (sizes * cycles / freq).tolist()
-    # Per overlap group, sum the member tasks' bytes across all units at
-    # once.  The additions run in the same left-to-right task order as a
-    # sequential per-unit sum, and adding 0.0 for absent tasks is exact
-    # for the non-negative totals here, so the values match the scalar
-    # loop bit for bit.
-    group_bytes = []
-    group_compute = []
-    for group in traits.overlap_groups:
-        b = np.zeros(n_units, dtype=np.float64)
+    task_arrays = {t: a[order] for t, a in task_arrays.items()}
+    sizes = units.sizes[order]
+    cycles = traits.cycles_per_nonzero(problem.k, problem.ops_per_nnz)
+    compute = sizes * cycles / (traits.frequency_ghz * 1e9)
+
+    # Phase (unit, group): the group's member tasks' bytes, added left to
+    # right as a per-unit scalar sum adds them, and the unit's compute if
+    # the group overlaps it.  Empty phases are dropped.
+    groups = traits.overlap_groups
+    phase_c = np.zeros((sizes.shape[0], len(groups)))
+    phase_b = np.zeros((sizes.shape[0], len(groups)))
+    for g, group in enumerate(groups):
+        if Task.COMPUTE in group:
+            phase_c[:, g] = compute
+        b = np.zeros(sizes.shape[0])
         for t in group:
             arr = task_arrays.get(t)
             if arr is not None:
                 b = b + arr
-        group_bytes.append(b.tolist())
-        group_compute.append(Task.COMPUTE in group)
-    cb = task_arrays[Task.SPARSE_READ] + task_arrays[Task.DIN_READ]
-    cb = cb + task_arrays[Task.DOUT_READ]
-    cb = cb + task_arrays[Task.DOUT_WRITE]
-    chunk_bytes_all = cb.tolist()
-    sizes_list = sizes.tolist()
+        phase_b[:, g] = b
+    keep = (phase_c > 0.0) | (phase_b > 0.0)
+    phase_c = phase_c[keep]
+    phase_b = phase_b[keep]
+    phase_off = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    chunk_bytes = task_arrays[Task.SPARSE_READ] + task_arrays[Task.DIN_READ]
+    chunk_bytes = chunk_bytes + task_arrays[Task.DOUT_READ]
+    chunk_bytes = chunk_bytes + task_arrays[Task.DOUT_WRITE]
+    panels = units.panel[order]
 
-    chunks: List[Chunk] = []
-    nnz_total = 0
-    bytes_total = 0.0
-    n_groups = len(group_bytes)
-    for ui, unit in enumerate(schedule):
-        chunk_nnz = sizes_list[ui]
-        compute_s = compute[ui]
-        phases: List[Tuple[float, float]] = []
-        for gi in range(n_groups):
-            c = compute_s if group_compute[gi] else 0.0
-            b = group_bytes[gi][ui]
-            if c > 0.0 or b > 0.0:
-                phases.append((c, b))
-        chunk_bytes = chunk_bytes_all[ui]
-        chunks.append(
-            Chunk(panel=unit.panel, phases=phases, nnz=chunk_nnz, bytes_total=chunk_bytes)
+    plans = []
+    lo = 0
+    for count in np.bincount(owner, minlength=n_instances).tolist():
+        if count == 0:
+            continue
+        hi = lo + count
+        p_lo, p_hi = int(phase_off[lo]), int(phase_off[hi])
+        nnz_total = int(sizes[lo:hi].sum())
+        plans.append(
+            InstancePlan(
+                kind=traits.kind,
+                traits=traits,
+                phase_c=phase_c[p_lo:p_hi],
+                phase_b=phase_b[p_lo:p_hi],
+                chunk_phase_off=phase_off[lo : hi + 1] - p_lo,
+                chunk_panel=panels[lo:hi],
+                chunk_nnz=sizes[lo:hi],
+                chunk_bytes=chunk_bytes[lo:hi],
+                nnz_total=nnz_total,
+                flops_total=nnz_total * problem.flops_per_nnz,
+                # A left-to-right running sum, as a scalar loop would add.
+                bytes_total=float(np.cumsum(chunk_bytes[lo:hi])[-1]),
+            )
         )
-        nnz_total += chunk_nnz
-        bytes_total += chunk_bytes
-
-    return InstancePlan(
-        kind=kind,
-        traits=traits,
-        chunks=chunks,
-        nnz_total=nnz_total,
-        flops_total=nnz_total * problem.flops_per_nnz,
-        bytes_total=bytes_total,
-    )
+        lo = hi
+    return plans
 
 
-def _unit_sizes(schedule: List[_WorkUnit]) -> np.ndarray:
-    """Nonzero count of each unit, as one int64 array."""
-    return np.fromiter(
-        (u.nnz_idx.size for u in schedule), dtype=np.int64, count=len(schedule)
-    )
-
-
-def _cat_tile_segments(schedule: List[_WorkUnit]) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenated tile indices of a tiled schedule plus segment starts.
-
-    Feeds ``np.add.reduceat``-style segment reductions: element ``i`` of
-    ``reduceat(values[cat], starts)`` is the reduction over unit ``i``'s
-    tiles.  Every unit of a tiled schedule has at least one tile, so the
-    segments are non-empty as ``reduceat`` requires.
-    """
-    lengths = np.fromiter(
-        (u.tile_idx.size for u in schedule), dtype=np.int64, count=len(schedule)
-    )
-    cat = np.concatenate([u.tile_idx for u in schedule])
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    return cat, starts
-
-
-def _distinct_rows_per_unit(tiled: TiledMatrix, schedule: List[_WorkUnit]) -> np.ndarray:
+def _distinct_rows(tiled: TiledMatrix, units: _Units) -> np.ndarray:
     """Distinct matrix rows touched by each unit.
 
-    Equivalent to ``np.unique(tiled.rows[u.nnz_idx]).size`` per unit.
-    Row-block units keep their nonzeros row-major, so distinct rows are a
-    boundary count with no sort at all; tiled units (rows repeat across a
-    panel's tiles) fall back to a single keyed unique over ``(unit, row)``
-    pairs instead of one ``np.unique`` per unit.
+    Equivalent to ``np.unique(tiled.rows[nnz_idx[start:end]]).size`` per
+    unit.  Row-block units keep their nonzeros row-major, so distinct rows
+    are a boundary count with no sort at all; panel-affine units (rows
+    repeat across a panel's tiles) take one keyed unique over
+    ``(unit, row)`` pairs instead of one ``np.unique`` per unit.
     """
-    sizes = _unit_sizes(schedule)
-    cat = np.concatenate([u.nnz_idx for u in schedule])
-    rows_cat = tiled.rows[cat]
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    if schedule[0].tile_idx is None:
-        new_row = np.empty(rows_cat.shape[0], dtype=bool)
+    rows = tiled.rows[units.nnz_idx]
+    if units.tiles is None:
+        new_row = np.empty(rows.shape[0], dtype=bool)
         new_row[0] = True
-        np.not_equal(rows_cat[1:], rows_cat[:-1], out=new_row[1:])
-        new_row[starts] = True
-        return np.add.reduceat(new_row.astype(np.int64), starts)
-    unit_id = np.repeat(np.arange(len(schedule), dtype=np.int64), sizes)
+        np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+        new_row[units.start] = True
+        return np.add.reduceat(new_row.astype(np.int64), units.start)
+    sizes = units.sizes
+    unit_id = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
     span = np.int64(max(tiled.matrix.n_rows, 1))
-    uniq = np.unique(unit_id * span + rows_cat)
-    return np.bincount(uniq // span, minlength=len(schedule)).astype(np.int64)
+    uniq = np.unique(unit_id * span + rows)
+    return np.bincount(uniq // span, minlength=sizes.shape[0]).astype(np.int64)
 
 
-def _sparse_bytes_per_unit(
+def _sparse_bytes(
     tiled: TiledMatrix,
     traits: WorkerTraits,
     problem: ProblemSpec,
-    schedule: List[_WorkUnit],
-) -> List[float]:
-    if not schedule:
-        return []
-    if schedule[0].tile_idx is not None:
-        heights = effective_tile_heights(tiled)
-        cat, starts = _cat_tile_segments(schedule)
+    units: _Units,
+) -> np.ndarray:
+    if units.tiles is not None:
         per_tile = sparse_bytes_accessed(
             traits.sparse_format,
-            tiled.stats.nnz[cat],
-            heights[cat],
+            tiled.stats.nnz[units.tiles],
+            effective_tile_heights(tiled)[units.tiles],
             problem.value_bytes,
             problem.index_bytes,
         )
-        return np.add.reduceat(per_tile, starts).tolist()
+        return np.add.reduceat(per_tile, units.tile_start)
     return sparse_bytes_accessed(
         traits.sparse_format,
-        _unit_sizes(schedule),
-        np.fromiter(
-            (u.height_rows for u in schedule), dtype=np.float64, count=len(schedule)
-        ),
+        units.sizes,
+        units.height.astype(np.float64),
         problem.value_bytes,
         problem.index_bytes,
-    ).tolist()
-
-
-def _din_bytes_per_schedule(
-    tiled: TiledMatrix,
-    traits: WorkerTraits,
-    problem: ProblemSpec,
-    schedules: List[List[_WorkUnit]],
-    row_bytes: float,
-) -> List[List[float]]:
-    """Per-unit *Din* bytes for every instance schedule of one group.
-
-    Most reuse types delegate to :func:`_din_bytes_per_unit` per schedule.
-    The demand-cache case (``NONE`` with a positive cache size) instead
-    runs ONE windowed-LRU pass over every instance's access sequence:
-    column ids are keyed by instance, and because each instance's segment
-    is contiguous in the concatenation, window gaps inside an instance are
-    unchanged while cross-instance accesses can never match keys -- the
-    per-instance miss masks come out identical to separate calls.
-    """
-    if not schedules:
-        return []
-    capacity_rows = (
-        int(traits.cache_bytes // row_bytes) if traits.cache_bytes > 0 else 0
     )
-    if traits.din_reuse is not ReuseType.NONE or capacity_rows <= 0:
-        return [
-            _din_bytes_per_unit(tiled, traits, problem, s, row_bytes)
-            for s in schedules
-        ]
-    seqs = [np.concatenate([u.nnz_idx for u in s]) for s in schedules]
-    lens = np.fromiter((q.size for q in seqs), dtype=np.int64, count=len(seqs))
-    cat = np.concatenate(seqs)
-    inst = np.repeat(np.arange(len(seqs), dtype=np.int64), lens)
-    span = np.int64(max(tiled.matrix.n_cols, 1))
-    misses = windowed_lru_misses(inst * span + tiled.cols[cat], capacity_rows)
-    misses = misses.astype(np.int64)
-    out: List[List[float]] = []
-    base = 0
-    for s in schedules:
-        sizes = _unit_sizes(s)
-        total = int(sizes.sum())
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        per_unit = np.add.reduceat(misses[base : base + total], starts)
-        out.append((per_unit.astype(np.float64) * row_bytes).tolist())
-        base += total
-    return out
 
 
-def _din_bytes_per_unit(
+def _din_bytes(
     tiled: TiledMatrix,
     traits: WorkerTraits,
-    problem: ProblemSpec,
-    schedule: List[_WorkUnit],
+    units: _Units,
+    owner: np.ndarray,
+    order: np.ndarray,
     row_bytes: float,
-) -> List[float]:
-    if not schedule:
-        return []
+) -> np.ndarray:
+    """Per-unit *Din* bytes, in unit order.
+
+    The demand cache (``NONE`` reuse with a positive cache size) lives
+    across an instance's whole run, so it sees the instance-major access
+    sequence: ONE windowed-LRU pass runs over every instance's nonzeros
+    in turn, with column ids keyed by instance.  Each instance's accesses
+    are contiguous, so window gaps inside an instance are those of a
+    separate per-instance pass, and accesses of different instances can
+    never match keys.
+    """
     reuse = traits.din_reuse
-    stats = tiled.stats
+    sizes = units.sizes
     if reuse is ReuseType.INTRA_TILE_STREAM:
-        widths = effective_tile_widths(tiled)
-        cat, starts = _cat_tile_segments(schedule)
-        return (np.add.reduceat(widths[cat], starts) * row_bytes).tolist()
+        widths = effective_tile_widths(tiled)[units.tiles]
+        return np.add.reduceat(widths, units.tile_start) * row_bytes
     if reuse is ReuseType.INTRA_TILE_DEMAND:
-        cat, starts = _cat_tile_segments(schedule)
-        per_unit = np.add.reduceat(stats.uniq_cids[cat], starts)
-        return (per_unit.astype(np.float64) * row_bytes).tolist()
+        per_unit = np.add.reduceat(tiled.stats.uniq_cids[units.tiles], units.tile_start)
+        return per_unit.astype(np.float64) * row_bytes
     if reuse is ReuseType.NONE:
         capacity_rows = (
             int(traits.cache_bytes // row_bytes) if traits.cache_bytes > 0 else 0
         )
-        sizes = _unit_sizes(schedule)
         if capacity_rows <= 0:
-            return (sizes.astype(np.float64) * row_bytes).tolist()
-        # The demand cache lives across the instance's whole run: feed the
-        # full access sequence through the windowed LRU, then segment-sum
-        # the misses back into units.  (Cast before reduceat: np.add on a
-        # bool array would reduce with logical-or.)
-        seq = np.concatenate([u.nnz_idx for u in schedule])
-        misses = windowed_lru_misses(tiled.cols[seq], capacity_rows)
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        per_unit = np.add.reduceat(misses.astype(np.int64), starts)
-        return (per_unit.astype(np.float64) * row_bytes).tolist()
+            return sizes.astype(np.float64) * row_bytes
+        run_sizes = sizes[order]
+        seq = units.nnz_idx[concat_ranges(units.start[order], run_sizes)]
+        span = np.int64(max(tiled.matrix.n_cols, 1))
+        keys = np.repeat(owner[order], run_sizes) * span + tiled.cols[seq]
+        # Cast before reduceat: np.add on a bool array reduces with
+        # logical-or.
+        misses = windowed_lru_misses(keys, capacity_rows).astype(np.int64)
+        run_starts = np.concatenate(([0], np.cumsum(run_sizes)[:-1]))
+        per_unit = np.empty(sizes.shape[0], dtype=np.int64)
+        per_unit[order] = np.add.reduceat(misses, run_starts)
+        return per_unit.astype(np.float64) * row_bytes
     if reuse is ReuseType.INTER_TILE:
         # No evaluated worker reuses Din across tiles, but support it for
         # completeness: one streamed panel-width load per unit.
-        if schedule[0].tile_idx is not None:
-            widths = effective_tile_widths(tiled)
-            cat, starts = _cat_tile_segments(schedule)
-            per_unit = np.maximum.reduceat(widths[cat], starts)
+        if units.tiles is not None:
+            widths = effective_tile_widths(tiled)[units.tiles]
+            per_unit = np.maximum.reduceat(widths, units.tile_start)
         else:
-            per_unit = _unit_sizes(schedule).astype(np.float64)
-        return (per_unit * row_bytes).tolist()
+            per_unit = sizes.astype(np.float64)
+        return per_unit * row_bytes
     raise ValueError(f"unknown reuse type {reuse!r}")
 
 
-def _dout_bytes_per_unit(
+def _dout_bytes(
     tiled: TiledMatrix,
     traits: WorkerTraits,
     problem: ProblemSpec,
-    schedule: List[_WorkUnit],
+    units: _Units,
     row_bytes: float,
-) -> Tuple[List[float], List[float]]:
-    if not schedule:
-        return [], []
-    stats = tiled.stats
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-unit *Dout* (read, write) bytes, in unit order."""
     reuse = traits.dout_reuse
-    tiled_units = schedule[0].tile_idx is not None
+    tiled_units = units.tiles is not None
     if reuse is ReuseType.INTER_TILE:
-        first = traits.effective_first_reuse("dout")
-        if first is ReuseType.INTRA_TILE_STREAM:
-            rows = np.fromiter(
-                (u.height_rows for u in schedule), dtype=np.float64, count=len(schedule)
-            )
+        if traits.effective_first_reuse("dout") is ReuseType.INTRA_TILE_STREAM:
+            rows = units.height.astype(np.float64)
         else:  # demand: distinct row ids the instance touches in the unit
-            rows = _distinct_rows_per_unit(tiled, schedule).astype(np.float64)
+            rows = _distinct_rows(tiled, units).astype(np.float64)
     elif reuse is ReuseType.INTRA_TILE_DEMAND:
         if tiled_units:
-            cat, starts = _cat_tile_segments(schedule)
-            rows = np.add.reduceat(stats.uniq_rids[cat], starts).astype(np.float64)
+            rows = np.add.reduceat(
+                tiled.stats.uniq_rids[units.tiles], units.tile_start
+            ).astype(np.float64)
         else:
-            rows = _distinct_rows_per_unit(tiled, schedule).astype(np.float64)
+            rows = _distinct_rows(tiled, units).astype(np.float64)
     elif reuse is ReuseType.INTRA_TILE_STREAM:
         if tiled_units:
-            heights = effective_tile_heights(tiled)
-            cat, starts = _cat_tile_segments(schedule)
-            rows = np.add.reduceat(heights[cat], starts)
+            heights = effective_tile_heights(tiled)[units.tiles]
+            rows = np.add.reduceat(heights, units.tile_start)
         else:
-            rows = np.fromiter(
-                (u.height_rows for u in schedule), dtype=np.float64, count=len(schedule)
-            )
+            rows = units.height.astype(np.float64)
     elif reuse is ReuseType.NONE:
-        rows = _unit_sizes(schedule).astype(np.float64)
+        rows = units.sizes.astype(np.float64)
     else:
         raise ValueError(f"unknown reuse type {reuse!r}")
-    reads = (rows * row_bytes).tolist()
+    reads = rows * row_bytes
     if problem.kernel is Kernel.SDDMM:
-        writes = (
-            _unit_sizes(schedule).astype(np.float64) * problem.value_bytes
-        ).tolist()
-    else:
-        writes = list(reads)
-    return reads, writes
+        return reads, units.sizes.astype(np.float64) * problem.value_bytes
+    return reads, reads

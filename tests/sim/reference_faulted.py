@@ -182,7 +182,7 @@ def _run_fluid_faulted(
     )
 
     pending: List[List[Tuple[float, float]]] = [
-        [p for c in plan.chunks for p in c.phases] for plan in plans
+        list(zip(plan.phase_c.tolist(), plan.phase_b.tolist())) for plan in plans
     ]
     c_rem = [0.0] * n
     b_rem = [0.0] * n

@@ -34,7 +34,7 @@ from repro.sim import _native
 from repro.sim import backend as sim_backend
 from repro.sim._reference import simulate_reference
 from repro.sim.engine import _FaultTally, _instance_labels, _run_fluid, simulate
-from repro.sim.worker_sim import Chunk, InstancePlan
+from repro.sim.worker_sim import InstancePlan
 from repro.sparse import generators
 from repro.sparse.matrix import SparseMatrix
 from repro.sparse.tiling import TiledMatrix
@@ -129,6 +129,26 @@ def test_slowdowns_stack_and_restart_match(arch_name, mode):
     assert result.faults.failures == 1
 
 
+def _plan(traits, chunk_phases):
+    """An instance plan whose chunk ``k`` runs the phases ``chunk_phases[k]``
+    (each chunk: 1 nonzero, 1 byte, panel ``k``)."""
+    phases = [p for chunk in chunk_phases for p in chunk]
+    n = len(chunk_phases)
+    return InstancePlan(
+        kind=traits.kind,
+        traits=traits,
+        phase_c=np.array([c for c, _ in phases], dtype=np.float64),
+        phase_b=np.array([b for _, b in phases], dtype=np.float64),
+        chunk_phase_off=np.cumsum([0] + [len(c) for c in chunk_phases]),
+        chunk_panel=np.arange(n),
+        chunk_nnz=np.ones(n, dtype=np.int64),
+        chunk_bytes=np.ones(n),
+        nnz_total=1,
+        flops_total=1.0,
+        bytes_total=1.0,
+    )
+
+
 _PHASE_C = st.sampled_from([0.0, 4e-19, 1e-18]) | st.floats(1e-7, 1e-4)
 _PHASE_B = st.sampled_from([0.0, 7e-19]) | st.floats(1e2, 1e5)
 
@@ -144,16 +164,10 @@ def plan_cases(draw):
         plans = []
         for _ in range(draw(st.integers(0, group.count))):
             chunks = [
-                Chunk(
-                    panel=ci,
-                    phases=draw(st.lists(st.tuples(_PHASE_C, _PHASE_B), max_size=4)),
-                    nnz=1,
-                    bytes_total=1.0,
-                )
-                for ci in range(draw(st.integers(0, 3)))
+                draw(st.lists(st.tuples(_PHASE_C, _PHASE_B), max_size=4))
+                for _ in range(draw(st.integers(0, 3)))
             ]
-            traits = group.traits
-            plans.append(InstancePlan(traits.kind, traits, chunks, 1, 1.0, 1.0))
+            plans.append(_plan(group.traits, chunks))
         groups.append(plans)
     t_offset = draw(st.sampled_from([0.0, 3e-5]) | st.floats(1e-9, 1e-3))
     horizon = 4e-4
@@ -206,9 +220,7 @@ def test_fluid_loop_matches_frozen_loop_on_synthetic_plans(case):
 
 
 def _cold_plan(arch, *phases):
-    traits = arch.cold.traits
-    chunks = [Chunk(0, list(phases), 1, 1.0)]
-    return InstancePlan(traits.kind, traits, chunks, 1, 1.0, 1.0)
+    return _plan(arch.cold.traits, [list(phases)])
 
 
 def test_slowed_compute_at_the_epsilon_boundary():

@@ -207,10 +207,11 @@ def test_faulted_trace_narrates_chunks_and_inheritance(
     for span in inherited:
         assert span.track == recovery.args["heir"]
         assert span.ts >= failure.ts
-        chunk = plans[dead].chunks[int(span.name[len("chunk"):].split()[0])]
-        assert span.args["panel"] == chunk.panel
-        assert span.args["nnz"] == chunk.nnz
-        assert span.args["bytes"] == chunk.bytes_total
+        ci = int(span.name[len("chunk"):].split()[0])
+        plan = plans[dead]
+        assert span.args["panel"] == plan.chunk_panel[ci]
+        assert span.args["nnz"] == plan.chunk_nnz[ci]
+        assert span.args["bytes"] == plan.chunk_bytes[ci]
     # Every chunk is narrated exactly once.
     assert sum(s.args["bytes"] for s in chunks) == pytest.approx(result.bytes_total)
     # The clean run's narration is all there too.

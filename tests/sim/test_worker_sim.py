@@ -30,8 +30,8 @@ class TestScheduling:
         )
         seen_panels = {}
         for i, plan in enumerate(hot_plans):
-            for chunk in plan.chunks:
-                assert seen_panels.setdefault(chunk.panel, i) == i
+            for panel in plan.chunk_panel.tolist():
+                assert seen_panels.setdefault(panel, i) == i
 
     def test_cold_instances_never_share_output_rows(self):
         """Untiled workers are scheduled in row blocks: no two cold
@@ -48,12 +48,11 @@ class TestScheduling:
 
         units = _work_units(tiled, np.ones(tiled.n_tiles, dtype=bool),
                             arch.cold.traits, 2)
-        schedules = _balance(units, 4)
+        owner = _balance(units.sizes, 4)
         row_owner = {}
-        for i, sched in enumerate(schedules):
-            for unit in sched:
-                for row in np.unique(tiled.rows[unit.nnz_idx]).tolist():
-                    assert row_owner.setdefault(row, i) == i
+        for i, lo, hi in zip(owner.tolist(), units.start.tolist(), units.end.tolist()):
+            for row in np.unique(tiled.rows[units.nnz_idx[lo:hi]]).tolist():
+                assert row_owner.setdefault(row, i) == i
 
     def test_row_blocks_improve_balance_over_panels(self):
         """A single heavy panel no longer serializes on one instance."""
@@ -171,9 +170,11 @@ class TestActualBytes:
         )
         # No overlap: each chunk splits into up to 5 single-task phases
         # (empty ones dropped).
-        for chunk in cold_plans[0].chunks:
-            assert 1 <= len(chunk.phases) <= 5
-            compute_phases = [c for c, b in chunk.phases if c > 0]
+        plan = cold_plans[0]
+        off = plan.chunk_phase_off.tolist()
+        for lo, hi in zip(off[:-1], off[1:]):
+            assert 1 <= hi - lo <= 5
+            compute_phases = [c for c in plan.phase_c[lo:hi].tolist() if c > 0]
             assert len(compute_phases) == 1
 
     def test_flops_accounting(self, panel_matrix):
