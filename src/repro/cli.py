@@ -84,7 +84,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,13 +117,6 @@ _NO_SEED = {"fig18"}
 _SINGLE_MATRIX = {"fig05"}
 
 
-#: Non-experiment subcommands (the experiment ids live in EXPERIMENTS).
-SUBCOMMANDS = (
-    "partition", "sweep", "simulate", "resilience", "serve", "loadgen",
-    "delta-replay", "cache", "trace", "bench", "fidelity",
-)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in ("--version", "-V"):
@@ -131,30 +124,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         print(f"hottiles {__version__}")
         return 0
-    if argv and argv[0] == "partition":
-        return _partition_command(argv[1:])
-    if argv and argv[0] == "sweep":
-        return _sweep_command(argv[1:])
-    if argv and argv[0] == "simulate":
-        return _simulate_command(argv[1:])
-    if argv and argv[0] == "resilience":
-        return _resilience_command(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_command(argv[1:])
-    if argv and argv[0] == "loadgen":
-        return _loadgen_command(argv[1:])
-    if argv and argv[0] == "delta-replay":
-        return _delta_replay_command(argv[1:])
-    if argv and argv[0] == "cache":
-        return _cache_command(argv[1:])
-    if argv and argv[0] == "trace":
-        return _trace_command(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_command(argv[1:])
-    if argv and argv[0] == "fidelity":
-        from repro.experiments.fidelity import main as fidelity_main
-
-        return fidelity_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        handler, _ = SUBCOMMANDS[argv[0]]
+        return handler(argv[1:])
     return _experiment_command(argv)
 
 
@@ -236,16 +208,8 @@ def _experiment_command(argv: List[str]) -> int:
         for name, fn in EXPERIMENTS.items():
             doc = (fn.__doc__ or "").strip().splitlines()[0]
             print(f"{name:8s} {doc}")
-        print("partition  run the preprocessing pipeline on a MatrixMarket file")
-        print("sweep      bandwidth / K / cold-worker-count sensitivity sweeps")
-        print("simulate   partition + simulate once, optionally fault-injected")
-        print("resilience fault-rate sweep: makespan inflation vs fault-free")
-        print("serve      run the HTTP partition-planning service")
-        print("loadgen    closed-loop load generator against a running service")
-        print("delta-replay  seeded delta stream: incremental repair vs scratch")
-        print("cache      experiment result cache maintenance (stats, clear)")
-        print("trace      profile one run into a Chrome-trace/Perfetto JSON")
-        print("fidelity   predicted-vs-simulated error sweep (contention vs naive)")
+        for name, (_, summary) in SUBCOMMANDS.items():
+            print(f"{name:12s} {summary}")
         return 0
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -1508,6 +1472,43 @@ def _bench_command(argv: List[str]) -> int:
         return 1
     print(f"no regression vs {args.baseline} (tolerance {args.tolerance:.0%})")
     return 0
+
+
+def _fidelity_command(argv: List[str]) -> int:
+    from repro.experiments.fidelity import main as fidelity_main
+
+    return fidelity_main(argv)
+
+
+#: Non-experiment subcommands (the experiment ids live in EXPERIMENTS):
+#: name -> (handler taking the remaining argv, one line for 'hottiles list').
+SUBCOMMANDS: Dict[str, Tuple[Callable[[List[str]], int], str]] = {
+    "partition": (
+        _partition_command, "run the preprocessing pipeline on a MatrixMarket file"
+    ),
+    "sweep": (_sweep_command, "bandwidth / K / cold-worker-count sensitivity sweeps"),
+    "simulate": (
+        _simulate_command, "partition + simulate once, optionally fault-injected"
+    ),
+    "resilience": (
+        _resilience_command, "fault-rate sweep: makespan inflation vs fault-free"
+    ),
+    "serve": (_serve_command, "run the HTTP partition-planning service"),
+    "loadgen": (
+        _loadgen_command, "closed-loop load generator against a running service"
+    ),
+    "delta-replay": (
+        _delta_replay_command, "seeded delta stream: incremental repair vs scratch"
+    ),
+    "cache": (_cache_command, "experiment result cache maintenance (stats, clear)"),
+    "trace": (_trace_command, "profile one run into a Chrome-trace/Perfetto JSON"),
+    "bench": (
+        _bench_command, "hot-path perf benchmarks against the frozen reference"
+    ),
+    "fidelity": (
+        _fidelity_command, "predicted-vs-simulated error sweep (contention vs naive)"
+    ),
+}
 
 
 if __name__ == "__main__":

@@ -24,11 +24,10 @@ without running the event loop:
    resources the allocator water-fills.
 2. **Scheduling-granularity floors.**  The allocator grants bandwidth
    per instance, and an instance only demands for work it owns.  The
-   simulator's scheduler hands untiled workers row blocks of
-   ``tile_height // UNTILED_BLOCK_DIVISOR`` rows and panel-affine
-   (scratchpad) workers whole panels, so a tile reaching ``k``
-   schedulable units can occupy at most ``k`` instances: its time can
-   never drop below ``tile_time / min(N_g, k)``
+   simulator's scheduler hands panel-affine (scratchpad) workers whole
+   panels and the others row blocks of :func:`block_rows` rows, so a
+   tile reaching ``k`` schedulable units can occupy at most ``k``
+   instances: its time can never drop below ``tile_time / min(N_g, k)``
    (:func:`granularity_floor`).  This is the term that catches the
    recorded PCIe mispredict -- the split's cold sub-block spans too few
    row blocks to spread over the whole cold group.
@@ -58,10 +57,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.arch.heterogeneous import Architecture
-from repro.core.traits import ReuseType, Traversal, WorkerTraits
+from repro.core.traits import WorkerTraits
 
 __all__ = [
     "UNTILED_BLOCK_DIVISOR",
+    "block_rows",
     "naive_runtime",
     "naive_runtime_batch",
     "contended_runtime",
@@ -73,12 +73,20 @@ __all__ = [
     "effective_cold_bw",
 ]
 
-#: Row-block granularity of the simulator's untiled-worker scheduler:
-#: blocks of ``tile_height // UNTILED_BLOCK_DIVISOR`` rows (the paper's
-#: contiguous-row chunks).  Single source of truth --
-#: :mod:`repro.sim.worker_sim` re-exports it as
-#: ``DEFAULT_UNTILED_BLOCK_DIVISOR``.
+#: Row-block granularity of the scheduler for workers that are not
+#: panel-affine: blocks of ``tile_height // UNTILED_BLOCK_DIVISOR`` rows.
+#: The paper's 64-row SPADE chunks are 1/128 of its 8192-row panels; 1/8
+#: keeps simulator event counts manageable.
 UNTILED_BLOCK_DIVISOR = 8
+
+
+def block_rows(tile_height: int) -> int:
+    """Rows per scheduling block of a worker that is not panel-affine.
+
+    The one definition both :mod:`repro.sim.worker_sim`'s scheduler and
+    the granularity floors below use.
+    """
+    return max(1, tile_height // UNTILED_BLOCK_DIVISOR)
 
 
 # ----------------------------------------------------------------------
@@ -166,29 +174,16 @@ def effective_cold_bw(arch: Architecture) -> float:
 # ----------------------------------------------------------------------
 # Scheduling-granularity floors
 # ----------------------------------------------------------------------
-def _panel_affine(traits: WorkerTraits) -> bool:
-    """Whether the scheduler hands this worker whole panels (scratchpad state).
-
-    Mirrors the unit-construction branch of
-    :func:`repro.sim.worker_sim._work_units` exactly.
-    """
-    return traits.traversal is Traversal.TILED_ROW_ORDERED or traits.din_reuse in (
-        ReuseType.INTRA_TILE_STREAM,
-        ReuseType.INTRA_TILE_DEMAND,
-    )
-
-
 def _unit_capacity(
     uniq_rids: np.ndarray, n_instances: int, tile_height: int
 ) -> np.ndarray:
     """Max instances an untiled tile's work can spread over.
 
     A tile touching ``u`` distinct rows occupies at least
-    ``ceil(u / block_rows)`` of the scheduler's aligned row blocks, and
-    each block lands on exactly one instance.
+    ``ceil(u / block_rows(tile_height))`` of the scheduler's aligned row
+    blocks, and each block lands on exactly one instance.
     """
-    block_rows = max(1, tile_height // UNTILED_BLOCK_DIVISOR)
-    blocks = np.maximum(np.ceil(uniq_rids / block_rows), 1.0)
+    blocks = np.maximum(np.ceil(uniq_rids / block_rows(tile_height)), 1.0)
     return np.minimum(float(n_instances), blocks)
 
 
@@ -215,7 +210,7 @@ def granularity_floor(
     if n_instances <= 1 or not selected.any():
         return 0.0
     t = times[selected]
-    if _panel_affine(traits):
+    if traits.panel_affine:
         p = panels[selected]
         order = np.argsort(p, kind="stable")
         ts = t[order]
@@ -246,7 +241,7 @@ def granularity_floor_batch(
     if n_instances <= 1 or times.shape[1] == 0:
         return np.zeros(m)
     contrib = np.where(selected, times, 0.0)
-    if _panel_affine(traits):
+    if traits.panel_affine:
         return np.add.reduceat(contrib, panel_starts, axis=1).max(axis=1)
     capacity = _unit_capacity(uniq_rids, n_instances, tile_height)
     return (contrib / capacity[None, :]).max(axis=1)

@@ -77,19 +77,10 @@ class AnalyticalModel:
     ----------
     problem:
         Data sizes and kernel spec.
-    cache_aware:
-        Paper future work (Sec. X): when True, demand caches are modeled
-        for no-reuse operands with a threshold approximation -- a tile
-        whose working set (distinct dense rows) fits the worker's cache is
-        charged one fetch per distinct row instead of one per nonzero;
-        larger tiles are assumed to thrash.  The paper's model (default,
-        False) pessimistically ignores caches, which is the main source of
-        its ColdOnly prediction error (Fig. 17).
     """
 
-    def __init__(self, problem: ProblemSpec, cache_aware: bool = False) -> None:
+    def __init__(self, problem: ProblemSpec) -> None:
         self.problem = problem
-        self.cache_aware = cache_aware
 
     # ------------------------------------------------------------------
     def tile_costs(
@@ -186,14 +177,6 @@ class AnalyticalModel:
         """Rows accessed for one dense operand, honoring the first-tile mask."""
         steady = worker.din_reuse if operand == "din" else worker.dout_reuse
         rows = dense_rows_accessed(steady, tile_nnzs, tile_uniq_ids, tile_extents)
-        if (
-            self.cache_aware
-            and steady is ReuseType.NONE
-            and worker.cache_bytes > 0
-        ):
-            capacity_rows = worker.cache_bytes // self.problem.dense_row_bytes
-            fits = np.asarray(tile_uniq_ids, dtype=np.float64) <= capacity_rows
-            rows = np.where(fits, np.asarray(tile_uniq_ids, dtype=np.float64), rows)
         if steady is ReuseType.INTER_TILE and first_mask is not None and first_mask.any():
             first_reuse = worker.effective_first_reuse(operand)
             first_rows = dense_rows_accessed(

@@ -141,6 +141,21 @@ class WorkerTraits:
                 raise ValueError(f"{self.name}: {attr} cannot itself be INTER_TILE")
 
     # ------------------------------------------------------------------
+    @property
+    def panel_affine(self) -> bool:
+        """Whether the scheduler hands this worker whole panels.
+
+        Scratchpad state (tiled traversal, or *Din* reused within a tile)
+        is per panel, so all of a panel's tiles of this type run on one
+        instance.  Other workers get row blocks of
+        :func:`repro.core.contention.block_rows` rows.  The simulator's
+        scheduler and the model's granularity floors both read this.
+        """
+        return self.traversal is Traversal.TILED_ROW_ORDERED or self.din_reuse in (
+            ReuseType.INTRA_TILE_STREAM,
+            ReuseType.INTRA_TILE_DEMAND,
+        )
+
     def cycles_per_nonzero(self, k: int, ops_per_nnz: int = 1) -> float:
         """Cycles to process one nonzero of an SpMM with ``K = k``.
 

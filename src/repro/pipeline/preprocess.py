@@ -48,15 +48,11 @@ class PreprocessResult:
 
 
 class HotTilesPreprocessor:
-    """Scan + model + partition + format generation for one architecture.
+    """Scan + model + partition + format generation for one architecture."""
 
-    ``cache_aware`` enables the Sec. X cache-aware model extension in the
-    partitioner -- the strategy knob plan requests expose.
-    """
-
-    def __init__(self, arch: Architecture, cache_aware: bool = False) -> None:
+    def __init__(self, arch: Architecture) -> None:
         self.arch = arch
-        self.partitioner = HotTilesPartitioner(arch, cache_aware=cache_aware)
+        self.partitioner = HotTilesPartitioner(arch)
 
     def run(self, matrix: SparseMatrix) -> PreprocessResult:
         """Full pipeline over one sparse matrix.

@@ -612,7 +612,6 @@ class PlanService:
                     digest=digest,
                     arch=request.arch,
                     scale=request.scale,
-                    cache_aware=request.cache_aware,
                     n_rows=matrix.n_rows,
                     n_cols=matrix.n_cols,
                     nnz=matrix.nnz,
@@ -760,7 +759,7 @@ class PlanService:
             matrix = request.resolve_matrix()
         arch = request.build_architecture()
         with tracer.span("service.preprocess", cat="service"):
-            preprocessor = HotTilesPreprocessor(arch, cache_aware=request.cache_aware)
+            preprocessor = HotTilesPreprocessor(arch)
             preprocess = preprocessor.run(matrix)
         with tracer.span("service.save_artifacts", cat="service", digest=digest[:12]):
             artifacts = tuple(self.store.save_artifacts(digest, preprocess))

@@ -2,12 +2,12 @@
 
 A :class:`PlanRequest` names everything one preprocessing run is
 parameterized by: the matrix (a benchmark short name, a MatrixMarket file
-path, or a deterministic generator spec), the target architecture, and
-the strategy options.  Its :meth:`~PlanRequest.digest` is a content
-address built from :func:`~repro.experiments.cache.stable_digest` over
-exactly those inputs plus the package code version -- two requests share
-a digest iff they describe the same plan computed by the same code, which
-is what in-flight coalescing and the plan store key on.
+path, or a deterministic generator spec) and the target architecture.
+Its :meth:`~PlanRequest.digest` is a content address built from
+:func:`~repro.experiments.cache.stable_digest` over exactly those inputs
+plus the package code version -- two requests share a digest iff they
+describe the same plan computed by the same code, which is what
+in-flight coalescing and the plan store key on.
 
 A :class:`PlanResult` is the JSON-serializable summary of one completed
 plan: the chosen heuristic, the hot/cold split, predicted runtime, the
@@ -40,7 +40,7 @@ GENERATOR_KINDS: Dict[str, Tuple[str, ...]] = {
 }
 
 _REQUEST_KEYS = {
-    "matrix", "matrix_path", "generator", "arch", "scale", "cache_aware",
+    "matrix", "matrix_path", "generator", "arch", "scale",
     "timeout_s", "tenant", "tier", "deadline_s",
 }
 
@@ -60,7 +60,6 @@ class PlanRequest:
 
     arch: str = "spade-sextans"
     scale: int = 4
-    cache_aware: bool = False
     matrix: Optional[str] = None
     matrix_path: Optional[str] = None
     generator: Optional[Dict[str, Any]] = None
@@ -81,7 +80,6 @@ class PlanRequest:
         request = cls(
             arch=payload.get("arch", "spade-sextans"),
             scale=payload.get("scale", 4),
-            cache_aware=payload.get("cache_aware", False),
             matrix=payload.get("matrix"),
             matrix_path=payload.get("matrix_path"),
             generator=payload.get("generator"),
@@ -104,8 +102,6 @@ class PlanRequest:
             )
         if not isinstance(self.scale, int) or isinstance(self.scale, bool) or self.scale < 1:
             raise ProtocolError(f"scale must be a positive integer, got {self.scale!r}")
-        if not isinstance(self.cache_aware, bool):
-            raise ProtocolError("cache_aware must be a boolean")
         if self.timeout_s is not None and (
             not isinstance(self.timeout_s, (int, float))
             or isinstance(self.timeout_s, bool)
@@ -167,14 +163,15 @@ class PlanRequest:
         """The content address of this plan.
 
         Built from :func:`stable_digest` over the code version, the
-        architecture selection, the strategy options, and the matrix
-        *content* token: the short name or generator spec for
-        deterministic sources, and a SHA-256 of the file bytes for
-        ``matrix_path`` (so editing the file changes the digest even if
-        the path does not).  ``timeout_s``, ``tenant``, ``tier``, and
-        ``deadline_s`` are deliberately excluded -- they shape the wait
-        and the scheduling, not the plan, so two tenants asking for the
-        same matrix still coalesce onto one computation.
+        architecture (its name and factory arguments, so PIUMA's ignored
+        ``scale`` does not split it), and the matrix *content* token: the
+        short name or generator spec for deterministic sources, and a
+        SHA-256 of the file bytes for ``matrix_path`` (so editing the file
+        changes the digest even if the path does not).  ``timeout_s``,
+        ``tenant``, ``tier``, and ``deadline_s`` are deliberately excluded
+        -- they shape the wait and the scheduling, not the plan, so two
+        tenants asking for the same matrix still coalesce onto one
+        computation.
         """
         from repro.experiments.cache import code_version, stable_digest
 
@@ -194,8 +191,7 @@ class PlanRequest:
                 "plan-request",
                 code_version(),
                 self.arch,
-                self.scale,
-                self.cache_aware,
+                self._factory_args(),
                 matrix_token,
             )
         )
@@ -238,12 +234,15 @@ class PlanRequest:
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"generator {kind!r} rejected parameters: {exc}") from None
 
+    def _factory_args(self) -> Tuple[int, ...]:
+        """Arguments of the architecture factory: PIUMA takes no scale."""
+        return () if self.arch == "piuma" else (self.scale,)
+
     def build_architecture(self):
         """Instantiate the requested :class:`~repro.arch.heterogeneous.Architecture`."""
         from repro.arch.configs import ARCHITECTURE_FACTORIES
 
-        factory = ARCHITECTURE_FACTORIES[self.arch]
-        return factory() if self.arch == "piuma" else factory(self.scale)
+        return ARCHITECTURE_FACTORIES[self.arch](*self._factory_args())
 
     def describe(self) -> str:
         if self.matrix is not None:
@@ -267,7 +266,6 @@ class PlanResult:
     digest: str
     arch: str
     scale: int
-    cache_aware: bool
     n_rows: int
     n_cols: int
     nnz: int
@@ -325,7 +323,6 @@ class PlanResult:
             digest=digest,
             arch=request.arch,
             scale=request.scale,
-            cache_aware=request.cache_aware,
             n_rows=matrix.n_rows,
             n_cols=matrix.n_cols,
             nnz=matrix.nnz,

@@ -36,7 +36,7 @@ from repro.core.reuse import (
 )
 from repro.core.traits import ReuseType, Task, Traversal, WorkerKind, WorkerTraits
 from repro.sim.memory import allocate_rates
-from repro.sim.worker_sim import DEFAULT_UNTILED_BLOCK_DIVISOR
+from repro.core.contention import UNTILED_BLOCK_DIVISOR as DEFAULT_UNTILED_BLOCK_DIVISOR
 from repro.sparse.tiling import TiledMatrix
 
 __all__ = ["build_plans_reference", "simulate_reference"]

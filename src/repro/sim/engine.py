@@ -112,7 +112,7 @@ def simulate(
     tiled: TiledMatrix,
     assignment: np.ndarray,
     mode: ExecutionMode = ExecutionMode.PARALLEL,
-    untiled_block_rows: Optional[int] = None,
+    *,
     faults: Optional[FaultSchedule] = None,
     split: Optional[TileSplit] = None,
 ) -> SimResult:
@@ -121,12 +121,11 @@ def simulate(
     ``assignment[i]`` True sends tile ``i`` to the hot workers.  In
     parallel mode both groups run concurrently and a merge pass is added
     when both produced output on a non-atomic architecture; in serial mode
-    the groups run back to back with no merge.  ``untiled_block_rows``
-    overrides the row-block scheduling granularity of untiled workers.
-    ``split`` applies a block-level refinement
-    (:class:`repro.core.partition.TileSplit`, from the partitioner's
-    ``block-split`` candidate): the split tile's leading nonzeros run hot,
-    the rest cold -- see :func:`repro.sim.worker_sim.build_plans`.
+    the groups run back to back with no merge.  ``split`` applies a
+    block-level refinement (:class:`repro.core.partition.TileSplit`, from
+    the partitioner's ``block-split`` candidate): the split tile's leading
+    nonzeros run hot, the rest cold -- see
+    :func:`repro.sim.worker_sim.build_plans`.
 
     A non-empty ``faults`` schedule is injected into the same event loop
     (docs/faults.md): slowdowns, failures with work reassignment, and
@@ -147,9 +146,7 @@ def simulate(
         "sim.simulate", cat="sim", mode=mode.value, tiles=int(tiled.n_tiles),
         **span_args,
     ):
-        hot_plans, cold_plans = build_plans(
-            arch, tiled, assignment, untiled_block_rows, split=split
-        )
+        hot_plans, cold_plans = build_plans(arch, tiled, assignment, split=split)
         if mode is ExecutionMode.PARALLEL:
             makespan, completions, profile = _run_fluid(
                 arch,

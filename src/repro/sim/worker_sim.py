@@ -2,16 +2,17 @@
 
 Responsibilities:
 
-1. *Scheduling*.  Tiled-traversal workers (scratchpad streamers) receive
-   whole-panel chunks: all of a panel's tiles of one type land on one
-   instance, the paper's SPADE-inherited rule that keeps same-type
-   instances off each other's *Dout* rows.  Untiled-traversal workers
-   (SPADE PEs, PIUMA MTPs) instead receive *row blocks* -- contiguous row
-   ranges inside a panel, mirroring the paper's "chunk of 64 continuous
-   sparse matrix rows" per SPADE PE (Sec. VII-A).  Row blocks partition
-   the rows, so they are race-free at finer granularity and avoid
-   serializing a whole heavy panel on one instance.  Both schedules
-   balance greedily by nonzero count.
+1. *Scheduling*.  Panel-affine workers (``WorkerTraits.panel_affine``:
+   scratchpad streamers) receive whole-panel chunks: all of a panel's
+   tiles of one type land on one instance, the paper's SPADE-inherited
+   rule that keeps same-type instances off each other's *Dout* rows.
+   Other workers (SPADE PEs, PIUMA MTPs) instead receive *row blocks* of
+   :func:`~repro.core.contention.block_rows` rows inside a panel,
+   mirroring the paper's "chunk of 64 continuous sparse matrix rows" per
+   SPADE PE (Sec. VII-A).  Row blocks partition the rows, so they are
+   race-free at finer granularity and avoid serializing a whole heavy
+   panel on one instance.  Both schedules balance greedily by nonzero
+   count.
 
 2. *Actual cost computation*: for every chunk compute the true compute
    seconds and the true main memory traffic.  Unlike the analytical model
@@ -43,23 +44,15 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.arch.heterogeneous import Architecture
-from repro.core.contention import UNTILED_BLOCK_DIVISOR
+from repro.core.contention import block_rows
 from repro.core.partition import TileSplit
 from repro.core.problem import Kernel, ProblemSpec
 from repro.core.reuse import effective_tile_heights, effective_tile_widths, sparse_bytes_accessed
-from repro.core.traits import ReuseType, Task, Traversal, WorkerKind, WorkerTraits
+from repro.core.traits import ReuseType, Task, WorkerKind, WorkerTraits
 from repro.sim.cache import windowed_lru_misses
 from repro.sparse.tiling import TiledMatrix, TileStats, concat_ranges
 
-__all__ = ["InstancePlan", "build_plans", "DEFAULT_UNTILED_BLOCK_DIVISOR"]
-
-#: Untiled workers are scheduled in row blocks of
-#: ``tile_height // DEFAULT_UNTILED_BLOCK_DIVISOR`` rows (the paper's
-#: 64-row SPADE chunks are 1/128 of its 8192-row panels; we use a coarser
-#: 1/8 to keep simulator event counts manageable).  Defined in
-#: :mod:`repro.core.contention` so the analytical granularity floors and
-#: the scheduler can never disagree about the block size.
-DEFAULT_UNTILED_BLOCK_DIVISOR = UNTILED_BLOCK_DIVISOR
+__all__ = ["InstancePlan", "build_plans"]
 
 
 @dataclass(eq=False)
@@ -113,15 +106,14 @@ def build_plans(
     arch: Architecture,
     tiled: TiledMatrix,
     assignment: np.ndarray,
-    untiled_block_rows: Optional[int] = None,
+    *,
     split: Optional[TileSplit] = None,
 ) -> Tuple[List[InstancePlan], List[InstancePlan]]:
     """Schedule tiles onto instances and cost them.
 
     Returns ``(hot_plans, cold_plans)``; a group with zero workers (or no
     assigned tiles) yields an empty list, and instances the scheduler
-    leaves idle get no plan.  ``untiled_block_rows`` overrides the
-    row-block granularity for untiled-traversal workers.
+    leaves idle get no plan.
 
     ``split`` applies a :class:`~repro.core.partition.TileSplit`: the split
     tile's leading ``hot_nnz`` nonzeros run on the hot group, the rest on
@@ -143,7 +135,7 @@ def build_plans(
 
     plans = []
     for group, mask in ((arch.hot, assignment), (arch.cold, ~assignment)):
-        units = _work_units(tiled, mask, group.traits, untiled_block_rows)
+        units = _work_units(tiled, mask, group.traits)
         plans.append(
             [] if units is None else _plan_group(arch, tiled, group.traits, units, group.count)
         )
@@ -250,7 +242,6 @@ def _work_units(
     tiled: TiledMatrix,
     mask: np.ndarray,
     traits: WorkerTraits,
-    untiled_block_rows: Optional[int],
 ) -> Optional[_Units]:
     """Cut this worker type's tiles into schedulable units (``None``: no tiles).
 
@@ -261,10 +252,7 @@ def _work_units(
     if not mask.any():
         return None
     offsets = tiled.tile_offsets
-    if traits.traversal is Traversal.TILED_ROW_ORDERED or traits.din_reuse in (
-        ReuseType.INTRA_TILE_STREAM,
-        ReuseType.INTRA_TILE_DEMAND,
-    ):
+    if traits.panel_affine:
         # Panel-affine units: scratchpad state is per-panel.  Tiles are
         # stored panel-major, so the chosen tiles of one panel are a
         # contiguous run of ``chosen``.
@@ -284,12 +272,9 @@ def _work_units(
             tile_start=tile_start,
         )
 
-    # Untiled traversal: row-block units (the paper's contiguous-row
-    # chunks).  Gather the masked nonzeros, order row-major, and split by
-    # row block.
-    block_rows = untiled_block_rows or max(
-        1, tiled.tile_height // DEFAULT_UNTILED_BLOCK_DIVISOR
-    )
+    # Other workers: row-block units (the paper's contiguous-row chunks).
+    # Gather the masked nonzeros, order row-major, and split by row block.
+    rows_per_block = block_rows(tiled.tile_height)
     tile_ids = np.flatnonzero(mask)
     # Order the chosen nonzeros row-major.  Canonical SparseMatrix storage
     # is already (row, col)-sorted with unique coordinates, so sorting by
@@ -304,16 +289,16 @@ def _work_units(
         sel = np.zeros(tiled.rows.shape[0], dtype=bool)
         sel[tiled.perm[sel_perm]] = True
         nnz_idx = tiled.inverse_perm()[np.flatnonzero(sel)]
-    blocks = tiled.rows[nnz_idx] // block_rows
+    blocks = tiled.rows[nnz_idx] // rows_per_block
     boundaries = np.flatnonzero(np.diff(blocks)) + 1
     start = np.concatenate(([0], boundaries))
-    first_rows = blocks[start] * block_rows
+    first_rows = blocks[start] * rows_per_block
     return _Units(
         nnz_idx=nnz_idx,
         start=start,
         end=np.append(boundaries, nnz_idx.shape[0]),
         panel=first_rows // tiled.tile_height,
-        height=np.minimum(block_rows, tiled.matrix.n_rows - first_rows),
+        height=np.minimum(rows_per_block, tiled.matrix.n_rows - first_rows),
         tiles=None,
         tile_start=None,
     )

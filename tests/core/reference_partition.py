@@ -217,7 +217,7 @@ class HotTilesPartitioner:
         contention_aware: bool = True,
     ) -> None:
         self.arch = arch
-        self.model = AnalyticalModel(arch.problem, cache_aware=cache_aware)
+        self.model = AnalyticalModel(arch.problem)
         self.contention_aware = bool(contention_aware)
 
     def _contended(self) -> bool:

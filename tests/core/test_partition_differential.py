@@ -17,8 +17,8 @@ bytes and dtype, predicted and naive times, scorer, totals, split),
 ``plan_cache_from`` arrays, and three-step ``repair_plan`` chains.
 Inputs: a hypothesis fuzz over R-MAT, uniform and banded matrices, a
 block-split case, and the degenerate matrices (0x0, empty, one nonzero,
-one dense row, one dense column, one tile), each on six architectures and under every
-``cache_aware`` x ``contention_aware`` setting.
+one dense row, one dense column, one tile), each on six architectures and
+under both ``contention_aware`` settings.
 """
 
 import dataclasses
@@ -49,7 +49,7 @@ ARCHS = {
     "tiny-no-cold": tiny_arch(n_cold=0),
     "tiny-atomic": tiny_arch(atomic=True),
 }
-FLAGS = [(cache, contention) for cache in (False, True) for contention in (False, True)]
+CONTENTION_AWARE = [False, True]
 EXHAUSTIVE_MAX_TILES = 12
 REPAIR_STEPS = 3
 
@@ -137,14 +137,10 @@ def assert_same_predictions(got_p, want_p, tiled, assignments):
         assert got == _outcome(lambda: want_p.predict_homogeneous(tiled, kind))
 
 
-def check_everything(matrix, arch, cache_aware, contention_aware, seed=0):
+def check_everything(matrix, arch, contention_aware, seed=0):
     """Every comparison the module docstring lists, on one input."""
-    got_p = new.HotTilesPartitioner(
-        arch, cache_aware=cache_aware, contention_aware=contention_aware
-    )
-    want_p = ref.HotTilesPartitioner(
-        arch, cache_aware=cache_aware, contention_aware=contention_aware
-    )
+    got_p = new.HotTilesPartitioner(arch, contention_aware=contention_aware)
+    want_p = ref.HotTilesPartitioner(arch, contention_aware=contention_aware)
     tiled = TiledMatrix(matrix, arch.tile_height, arch.tile_width)
 
     got, want = got_p.partition(tiled), want_p.partition(tiled)
@@ -198,8 +194,8 @@ def fuzz_cases(draw):
         nnz = max(1, min(nnz, n * bandwidth // 4))
         matrix = generators.banded(n, nnz, bandwidth=bandwidth, seed=seed)
     arch = draw(st.sampled_from(sorted(ARCHS)))
-    cache_aware, contention_aware = draw(st.sampled_from(FLAGS))
-    return matrix, arch, cache_aware, contention_aware, seed
+    contention_aware = draw(st.sampled_from(CONTENTION_AWARE))
+    return matrix, arch, contention_aware, seed
 
 
 @given(fuzz_cases())
@@ -209,30 +205,30 @@ def fuzz_cases(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_fuzz_matches_frozen_partitioner(case):
-    matrix, arch, cache_aware, contention_aware, seed = case
-    check_everything(matrix, ARCHS[arch], cache_aware, contention_aware, seed)
+    matrix, arch, contention_aware, seed = case
+    check_everything(matrix, ARCHS[arch], contention_aware, seed)
 
 
 @given(
     random_architectures(),
     st.integers(min_value=1, max_value=300),
     st.integers(min_value=0, max_value=2**16),
-    st.sampled_from(FLAGS),
+    st.sampled_from(CONTENTION_AWARE),
 )
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_fuzz_random_traits(arch, nnz, seed, flags):
+def test_fuzz_random_traits(arch, nnz, seed, contention_aware):
     # On the paper's machines a hot tile's time depends on its
     # first-of-type flag only in tiles narrower than they are high;
     # random traits make every table column matter on ordinary tiles.
     matrix = generators.uniform_random(48, 48, nnz, seed=seed)
-    check_everything(matrix, arch, *flags, seed=seed)
+    check_everything(matrix, arch, contention_aware, seed=seed)
 
 
-@pytest.mark.parametrize("cache_aware,contention_aware", FLAGS)
+@pytest.mark.parametrize("contention_aware", CONTENTION_AWARE)
 @pytest.mark.parametrize("arch", sorted(ARCHS))
 @pytest.mark.parametrize("matrix", sorted(DEGENERATE))
-def test_degenerate_inputs(matrix, arch, cache_aware, contention_aware):
-    check_everything(DEGENERATE[matrix](), ARCHS[arch], cache_aware, contention_aware)
+def test_degenerate_inputs(matrix, arch, contention_aware):
+    check_everything(DEGENERATE[matrix](), ARCHS[arch], contention_aware)
 
 
 @pytest.fixture(scope="module")
@@ -240,17 +236,17 @@ def skew():
     return skew_heavy_matrix()
 
 
-@pytest.mark.parametrize("cache_aware,contention_aware", FLAGS)
+@pytest.mark.parametrize("contention_aware", CONTENTION_AWARE)
 @pytest.mark.parametrize("arch", ["piuma", "spade-sextans-pcie"])
-def test_block_split_case(skew, arch, cache_aware, contention_aware):
+def test_block_split_case(skew, arch, contention_aware):
     # The committed skew-heavy matrix makes a block split win, so the
     # split fields and its scoring are compared with a real split set.
     tiled = TiledMatrix(skew, ARCHS[arch].tile_height, ARCHS[arch].tile_width)
     chosen = new.HotTilesPartitioner(
-        ARCHS[arch], cache_aware=cache_aware, contention_aware=contention_aware
+        ARCHS[arch], contention_aware=contention_aware
     ).partition(tiled).chosen
     assert chosen.split is not None
-    check_everything(skew, ARCHS[arch], cache_aware, contention_aware, seed=3)
+    check_everything(skew, ARCHS[arch], contention_aware, seed=3)
 
 
 def test_partition_models_four_arrays_per_tiling(monkeypatch, small_rmat):

@@ -18,15 +18,16 @@ class TestRequestValidation:
         req = rmat_request()
         assert req.arch == "spade-sextans"
         assert req.scale == 4
-        assert req.cache_aware is False
 
     def test_rejects_non_object(self):
         with pytest.raises(ProtocolError, match="JSON object"):
             PlanRequest.from_dict([1, 2])
 
     def test_rejects_unknown_field(self):
-        with pytest.raises(ProtocolError, match="unknown request field"):
-            PlanRequest.from_dict({"matrix": "pap", "bogus": 1})
+        # A removed field (cache_aware) is rejected like any other, not ignored.
+        for field in ({"bogus": 1}, {"cache_aware": False}):
+            with pytest.raises(ProtocolError, match="unknown request field"):
+                PlanRequest.from_dict({"matrix": "pap", **field})
 
     def test_rejects_unknown_arch(self):
         with pytest.raises(ProtocolError, match="unknown arch"):
@@ -74,10 +75,13 @@ class TestDigest:
         assert a1.digest() != b.digest()
 
     def test_digest_covers_strategy_options(self):
-        base = rmat_request()
-        aware = rmat_request(cache_aware=True)
-        scaled = rmat_request(scale=8)
-        assert len({base.digest(), aware.digest(), scaled.digest()}) == 3
+        # The digest follows the architecture actually built: PIUMA's
+        # factory takes no scale, SPADE-Sextans' does.
+        assert rmat_request().digest() != rmat_request(scale=8).digest()
+        assert (
+            rmat_request(arch="piuma").digest()
+            == rmat_request(arch="piuma", scale=1).digest()
+        )
 
     def test_digest_excludes_timeout(self):
         assert rmat_request().digest() == rmat_request(timeout_s=5).digest()
@@ -129,6 +133,8 @@ class TestPlanResult:
         assert again == result
         assert again.nnz == matrix.nnz
         assert again.mode in ("parallel", "serial")
+        # Stored results written while PlanResult had cache_aware still load.
+        assert PlanResult.from_dict(dict(result.to_dict(), cache_aware=False)) == result
 
     def test_from_dict_missing_field(self):
         with pytest.raises(ProtocolError, match="missing field"):

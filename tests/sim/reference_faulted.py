@@ -64,9 +64,7 @@ def simulate_faulted(
     tracer = get_tracer()
     tracer = tracer if tracer.enabled else None
 
-    hot_plans, cold_plans = build_plans(
-        arch, tiled, assignment, untiled_block_rows, split=split
-    )
+    hot_plans, cold_plans = build_plans(arch, tiled, assignment, split=split)
     n_windows = sum(isinstance(e, BandwidthWindow) for e in faults.events)
 
     span_ctx = (

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch.heterogeneous import Architecture, WorkerGroup
+from repro.core.contention import UNTILED_BLOCK_DIVISOR
 from repro.core.partition import ExecutionMode
 from repro.core.traits import WorkerKind
 from repro.sim.engine import simulate, simulate_homogeneous
@@ -149,6 +150,14 @@ class TestModes:
         assert serial.time_s == pytest.approx(t_hot + t_cold, rel=1e-9)
 
 
+def _all_cold_with_block_rows(arch, matrix, block_rows):
+    """Simulate ``matrix`` all-cold, tiled so cold row blocks hold
+    ``block_rows`` rows (the block size follows the tile height)."""
+    tiled = TiledMatrix(matrix, block_rows * UNTILED_BLOCK_DIVISOR, 4)
+    assignment = np.zeros(tiled.n_tiles, dtype=bool)
+    return simulate(arch, tiled, assignment, ExecutionMode.PARALLEL)
+
+
 class TestRowBlockGranularity:
     def test_finer_blocks_never_slow_cold_execution(self):
         """Row-block scheduling exists to spread heavy panels; finer
@@ -157,34 +166,18 @@ class TestRowBlockGranularity:
         # One hub panel holding most nonzeros.
         rows = np.concatenate([rng.integers(0, 4, 600), rng.integers(0, 64, 200)])
         cols = rng.integers(0, 64, 800)
-        tiled = TiledMatrix(SparseMatrix(64, 64, rows, cols), 4, 4)
+        matrix = SparseMatrix(64, 64, rows, cols)
         arch = tiny_arch(n_cold=4)
-        coarse = simulate(
-            arch,
-            tiled,
-            np.zeros(tiled.n_tiles, dtype=bool),
-            ExecutionMode.PARALLEL,
-            untiled_block_rows=4,
-        )
-        fine = simulate(
-            arch,
-            tiled,
-            np.zeros(tiled.n_tiles, dtype=bool),
-            ExecutionMode.PARALLEL,
-            untiled_block_rows=1,
-        )
+        coarse = _all_cold_with_block_rows(arch, matrix, 4)
+        fine = _all_cold_with_block_rows(arch, matrix, 1)
         assert fine.time_s <= coarse.time_s * 1.01
         # Traffic is invariant: row blocks partition the rows.
         assert fine.bytes_total == pytest.approx(coarse.bytes_total, rel=1e-9)
 
     def test_block_granularity_preserves_bytes(self):
-        tiled = mixed_tiled()
+        matrix = mixed_tiled().matrix
         arch = tiny_arch(n_cold=3)
-        assignment = np.zeros(tiled.n_tiles, dtype=bool)
-        results = [
-            simulate(arch, tiled, assignment, ExecutionMode.PARALLEL, untiled_block_rows=b)
-            for b in (1, 2, 4)
-        ]
+        results = [_all_cold_with_block_rows(arch, matrix, b) for b in (1, 2, 4)]
         for r in results[1:]:
             assert r.bytes_total == pytest.approx(results[0].bytes_total, rel=1e-9)
 

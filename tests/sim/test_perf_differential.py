@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.arch.configs import spade_sextans_pcie
+from repro.core.contention import UNTILED_BLOCK_DIVISOR
 from repro.core.partition import ExecutionMode
 from repro.obs import Tracer, use_tracer
 from repro.sim._reference import Chunk, build_plans_reference, simulate_reference
@@ -136,16 +137,13 @@ def test_simulate_bit_identical_with_tracing(fixture, request, spade_sextans_arc
 def test_untiled_block_override_bit_identical(
     small_rmat, spade_sextans_arch, block_rows
 ):
-    """The untiled-worker row-block override goes through the vectorized
-    sort-free path; pin it against the reference too."""
+    """Untiled workers' row blocks of other sizes go through the vectorized
+    sort-free path; pin them against the reference too.  The block size
+    follows the tile height."""
     arch = spade_sextans_arch
-    tiled = TiledMatrix(small_rmat, arch.tile_height, arch.tile_width)
+    tiled = TiledMatrix(small_rmat, block_rows * UNTILED_BLOCK_DIVISOR, arch.tile_width)
     assignment = _assignment(tiled, 0.3)
 
-    new = simulate(
-        arch, tiled, assignment, ExecutionMode.PARALLEL, untiled_block_rows=block_rows
-    )
-    ref = simulate_reference(
-        arch, tiled, assignment, ExecutionMode.PARALLEL, untiled_block_rows=block_rows
-    )
+    new = simulate(arch, tiled, assignment, ExecutionMode.PARALLEL)
+    ref = simulate_reference(arch, tiled, assignment, ExecutionMode.PARALLEL)
     _assert_results_identical(new, ref)

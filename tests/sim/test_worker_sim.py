@@ -38,16 +38,13 @@ class TestScheduling:
         instances may touch the same Dout row (race freedom)."""
         rng = np.random.default_rng(8)
         m = SparseMatrix(64, 64, rng.integers(0, 64, 1500), rng.integers(0, 64, 1500))
-        tiled = TiledMatrix(m, 8, 8)
+        tiled = TiledMatrix(m, 16, 8)  # 2-row blocks
         arch = tiny_arch(n_cold=4)
-        _, cold_plans = build_plans(
-            arch, tiled, np.zeros(tiled.n_tiles, dtype=bool), untiled_block_rows=2
-        )
+        _, cold_plans = build_plans(arch, tiled, np.zeros(tiled.n_tiles, dtype=bool))
         # Recover each instance's row set through the block scheduler.
         from repro.sim.worker_sim import _balance, _work_units
 
-        units = _work_units(tiled, np.ones(tiled.n_tiles, dtype=bool),
-                            arch.cold.traits, 2)
+        units = _work_units(tiled, np.ones(tiled.n_tiles, dtype=bool), arch.cold.traits)
         owner = _balance(units.sizes, 4)
         row_owner = {}
         for i, lo, hi in zip(owner.tolist(), units.start.tolist(), units.end.tolist()):
@@ -56,14 +53,12 @@ class TestScheduling:
 
     def test_row_blocks_improve_balance_over_panels(self):
         """A single heavy panel no longer serializes on one instance."""
-        # All nonzeros in one 8-row panel.
+        # All nonzeros in rows 0-7 of one panel.
         rng = np.random.default_rng(9)
         m = SparseMatrix(64, 64, rng.integers(0, 8, 800), rng.integers(0, 64, 800))
-        tiled = TiledMatrix(m, 8, 8)
+        tiled = TiledMatrix(m, 16, 8)  # 2-row blocks
         arch = tiny_arch(n_cold=4)
-        _, cold_plans = build_plans(
-            arch, tiled, np.zeros(tiled.n_tiles, dtype=bool), untiled_block_rows=2
-        )
+        _, cold_plans = build_plans(arch, tiled, np.zeros(tiled.n_tiles, dtype=bool))
         assert len(cold_plans) >= 2  # the panel's rows spread across instances
 
     def test_load_balancing_by_nnz(self):

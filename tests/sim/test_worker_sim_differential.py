@@ -11,7 +11,7 @@ oracle's plans.  Exact ``==`` throughout, no tolerances.
 The inputs are R-MAT, uniform and banded matrices on both SPADE-Sextans
 systems, PIUMA and one-group tiny architectures, plus the features with
 their own costing branches: SDDMM's per-nonzero output writes, the
-no-overlap and PIUMA STP overlap groups, row-block overrides, block
+no-overlap and PIUMA STP overlap groups, other row-block sizes, block
 splits and the degenerate matrices.  Byte widths of 1.3 and 0.7 bytes
 make every byte count fractional, so a byte sum taken in another order
 shows up as a changed bit instead of hiding behind exact integer
@@ -23,6 +23,7 @@ import pytest
 
 from repro.arch.configs import piuma, spade_sextans, spade_sextans_pcie
 from repro.arch.heterogeneous import Architecture, WorkerGroup
+from repro.core.contention import UNTILED_BLOCK_DIVISOR
 from repro.core.partition import ExecutionMode, TileSplit
 from repro.core.problem import ProblemSpec
 from repro.core.traits import OVERLAP_NONE
@@ -95,11 +96,9 @@ def assert_plans_equal(new_plans, ref_plans):
         assert type(new.bytes_total) is float
 
 
-def oracle_simulate(arch, tiled, assignment, mode, untiled_block_rows=None, split=None):
+def oracle_simulate(arch, tiled, assignment, mode, split=None):
     """``simulate`` composed from the oracle's plans and the frozen loop."""
-    hot, cold = reference_worker_sim.build_plans(
-        arch, tiled, assignment, untiled_block_rows, split=split
-    )
+    hot, cold = reference_worker_sim.build_plans(arch, tiled, assignment, split=split)
     if mode is ExecutionMode.PARALLEL:
         makespan, completions, profile = run_fluid_reference(arch, hot + cold)
         merge = 0.0
@@ -126,16 +125,16 @@ def oracle_simulate(arch, tiled, assignment, mode, untiled_block_rows=None, spli
     )
 
 
-def assert_matches_oracle(arch, tiled, assignment, untiled_block_rows=None, split=None):
-    new_hot, new_cold = build_plans(arch, tiled, assignment, untiled_block_rows, split=split)
+def assert_matches_oracle(arch, tiled, assignment, split=None):
+    new_hot, new_cold = build_plans(arch, tiled, assignment, split=split)
     ref_hot, ref_cold = reference_worker_sim.build_plans(
-        arch, tiled, assignment, untiled_block_rows, split=split
+        arch, tiled, assignment, split=split
     )
     assert_plans_equal(new_hot, ref_hot)
     assert_plans_equal(new_cold, ref_cold)
     for mode in MODES:
-        got = simulate(arch, tiled, assignment, mode, untiled_block_rows, split=split)
-        assert got == oracle_simulate(arch, tiled, assignment, mode, untiled_block_rows, split)
+        got = simulate(arch, tiled, assignment, mode, split=split)
+        assert got == oracle_simulate(arch, tiled, assignment, mode, split)
 
 
 def _arch_cases():
@@ -198,10 +197,12 @@ def test_no_overlap_phases(matrix, problem):
 @pytest.mark.parametrize("block_rows", [1, 3, 64])
 @pytest.mark.parametrize("arch_name", ["spade-sextans", "piuma", "tiny-no-hot"])
 def test_untiled_block_rows_override(arch_name, block_rows):
+    """Row blocks of ``block_rows`` rows, chosen through the tile height."""
     arch, fracs = ARCHS[arch_name]
-    tiled = TiledMatrix(MATRICES["rmat"](6), arch.tile_height, arch.tile_width)
+    height = block_rows * UNTILED_BLOCK_DIVISOR
+    tiled = TiledMatrix(MATRICES["rmat"](6), height, arch.tile_width)
     assignment = _assignment(tiled.n_tiles, 0.4 if len(fracs) > 1 else fracs[0], 6)
-    assert_matches_oracle(arch, tiled, assignment, untiled_block_rows=block_rows)
+    assert_matches_oracle(arch, tiled, assignment)
 
 
 def _split_of(tiled, tile):

@@ -1,6 +1,6 @@
 """CLI tests."""
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import EXPERIMENTS, SUBCOMMANDS, main
 
 
 class TestCli:
@@ -9,6 +9,9 @@ class TestCli:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
+        # One line per subcommand, named first.
+        listed = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert set(SUBCOMMANDS) <= listed
 
     def test_unknown_experiment(self, capsys):
         assert main(["fig99"]) == 2
