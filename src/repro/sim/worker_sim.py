@@ -420,7 +420,7 @@ def _distinct_rows(tiled: TiledMatrix, units: _Units) -> np.ndarray:
         new_row[0] = True
         np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
         new_row[units.start] = True
-        return np.add.reduceat(new_row.astype(np.int64), units.start)
+        return np.add.reduceat(new_row, units.start, dtype=np.int64)
     sizes = units.sizes
     unit_id = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
     span = np.int64(max(tiled.matrix.n_rows, 1))
@@ -488,12 +488,12 @@ def _din_bytes(
         seq = units.nnz_idx[concat_ranges(units.start[order], run_sizes)]
         span = np.int64(max(tiled.matrix.n_cols, 1))
         keys = np.repeat(owner[order], run_sizes) * span + tiled.cols[seq]
-        # Cast before reduceat: np.add on a bool array reduces with
-        # logical-or.
-        misses = windowed_lru_misses(keys, capacity_rows).astype(np.int64)
+        misses = windowed_lru_misses(keys, capacity_rows)
         run_starts = np.concatenate(([0], np.cumsum(run_sizes)[:-1]))
         per_unit = np.empty(sizes.shape[0], dtype=np.int64)
-        per_unit[order] = np.add.reduceat(misses, run_starts)
+        # Sum the bool misses in int64 explicitly rather than rely on
+        # NumPy's default result type: a bool-typed sum is a logical-or.
+        per_unit[order] = np.add.reduceat(misses, run_starts, dtype=np.int64)
         return per_unit.astype(np.float64) * row_bytes
     if reuse is ReuseType.INTER_TILE:
         # No evaluated worker reuses Din across tiles, but support it for

@@ -1,12 +1,12 @@
 """Incremental application of a :class:`DeltaBatch`.
 
 Re-canonicalizing a mutated matrix from scratch costs a global
-``O(nnz log nnz)`` argsort twice over (once for the COO canonical order,
+``O(nnz log nnz)`` sort twice over (once for the COO canonical order,
 once for the tile-major permutation).  A delta batch touches a vanishing
 fraction of the nonzeros, so both sorted orders can instead be *repaired*
 by merging the (already sorted) batch into the (already sorted) arrays
 with ``searchsorted`` + ``np.insert`` -- ``O(nnz + |delta| log nnz)`` and
-no argsort.
+no global sort.
 
 The contract is exact, not approximate: the matrix produced by
 :func:`apply_delta_matrix` and the tiling produced by
@@ -31,7 +31,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.sparse.matrix import SparseMatrix
-from repro.sparse.tiling import TiledMatrix, TileStats, _unique_per_segment, concat_ranges
+from repro.sparse.tiling import TiledMatrix, TileStats, _distinct_per_tile, concat_ranges
 from repro.streaming.delta import DeltaBatch
 
 __all__ = ["DeltaApplyReport", "apply_delta_matrix", "apply_delta_tiled"]
@@ -299,15 +299,10 @@ def apply_delta_tiled(
     if dirty_idx.size:
         seg_counts = counts[dirty_idx]
         gather = concat_ranges(starts[dirty_idx], seg_counts)
-        seg_key = np.repeat(np.arange(dirty_idx.shape[0], dtype=np.int64), seg_counts)
         seg_starts = np.concatenate(([0], np.cumsum(seg_counts)[:-1]))
-        # Rows are non-decreasing inside a tile (canonical order is
-        # row-major), columns are not.
-        uniq_rids[dirty_idx] = _unique_per_segment(
-            seg_key, rows[gather], seg_starts, presorted=True
-        )
-        uniq_cids[dirty_idx] = _unique_per_segment(
-            seg_key, cols[gather], seg_starts, presorted=False
+        uniq_rids[dirty_idx], uniq_cids[dirty_idx] = _distinct_per_tile(
+            rows[gather], cols[gather], seg_starts, tile_keys[dirty_idx] % npc,
+            tw, new_matrix.n_cols,
         )
 
     stats = TileStats(
@@ -316,15 +311,6 @@ def apply_delta_tiled(
         nnz=counts.astype(np.int64),
         uniq_rids=uniq_rids,
         uniq_cids=uniq_cids,
-    )
-
-    # Panel nnz patched by net change; ``_from_parts`` re-derives the
-    # distinct rows from the already-patched CSR indptr.
-    n_panels = max(tiled.n_panel_rows, 1)
-    panel_nnz = (
-        tiled.panel_nnz
-        + np.bincount(info.ins_rows // th, minlength=n_panels).astype(np.int64)
-        - np.bincount(info.del_rows // th, minlength=n_panels).astype(np.int64)
     )
 
     result = TiledMatrix._from_parts(
@@ -339,6 +325,5 @@ def apply_delta_tiled(
         vals=vals,
         tile_offsets=tile_offsets,
         stats=stats,
-        panel_nnz=panel_nnz,
     )
     return result, _report(result, rebuilt=False)

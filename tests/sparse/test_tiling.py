@@ -72,6 +72,43 @@ class TestTileStats:
         assert list(tiled.iter_panels()) == []
 
 
+class TestKeyOverflow:
+    """Shapes whose tile or column keys would wrap int64: the statistics
+    are exact, or construction raises; never silently wrong output."""
+
+    @staticmethod
+    def wide_matrix(n_cols):
+        rows = [0, 0, 0, 5, 5, 1023]
+        return SparseMatrix(1024, n_cols, rows, [0, 3, n_cols - 1, 3, n_cols - 2, 0])
+
+    @pytest.mark.parametrize("n_cols,th,tw", [(2**40, 1, 1), (2**62, 64, 2**20)])
+    def test_wide_matrix_stats_match_brute_force(self, n_cols, th, tw):
+        matrix = self.wide_matrix(n_cols)
+        tiled = TiledMatrix(matrix, th, tw)
+        got = {
+            (int(r), int(c)): (int(n), int(ur), int(uc))
+            for r, c, n, ur, uc in zip(
+                tiled.stats.tile_row, tiled.stats.tile_col, tiled.stats.nnz,
+                tiled.stats.uniq_rids, tiled.stats.uniq_cids,
+            )
+        }
+        want = {
+            key: (e["nnz"], len(e["rids"]), len(e["cids"]))
+            for key, e in brute_force_stats(matrix, th, tw).items()
+        }
+        assert got == want
+
+    def test_unfittable_tile_key_raises(self):
+        with pytest.raises(ValueError, match=rf"1024x{2**62} matrix .* 1x1 tiles"):
+            TiledMatrix(self.wide_matrix(2**62), 1, 1)
+
+    def test_unfittable_column_key_raises(self):
+        # Tile keys fit (3 tiles), but 3 tiles of 2**62 local columns do not.
+        matrix = SparseMatrix(3, 2**62, [0, 1, 2], [0, 2**62 - 1, 5])
+        with pytest.raises(ValueError, match="column keys"):
+            TiledMatrix(matrix, 1, 2**62)
+
+
 class TestTileAccess:
     def test_tile_nonzeros_cover_matrix(self, mixed_matrix):
         tiled = TiledMatrix(mixed_matrix, 64, 64)
