@@ -13,7 +13,7 @@ per-tile sparsity statistics aligned with the paper's geometry.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from repro.arch.heterogeneous import Architecture, WorkerGroup
 from repro.core.problem import ProblemSpec
@@ -31,6 +31,8 @@ __all__ = [
     "spade_sextans_pcie",
     "piuma",
     "ARCHITECTURE_FACTORIES",
+    "factory_args",
+    "build_architecture",
 ]
 
 #: Benchmark matrices (and scratchpads/tiles) are shrunk by this factor.
@@ -166,3 +168,15 @@ ARCHITECTURE_FACTORIES: Dict[str, Callable[..., Architecture]] = {
     "spade-sextans-pcie": spade_sextans_pcie,
     "piuma": piuma,
 }
+
+
+def factory_args(name: str, scale: int) -> Tuple[int, ...]:
+    """Positional arguments of ``ARCHITECTURE_FACTORIES[name]`` at system
+    scale ``scale``.  PIUMA takes none: it has no system scale, and its
+    first positional argument is the matrix scale divisor."""
+    return () if name == "piuma" else (scale,)
+
+
+def build_architecture(name: str, scale: int) -> Architecture:
+    """The named architecture at system scale ``scale`` (PIUMA ignores it)."""
+    return ARCHITECTURE_FACTORIES[name](*factory_args(name, scale))

@@ -317,7 +317,7 @@ def _sweep_command(argv: List[str]) -> int:
 
 # ----------------------------------------------------------------------
 def _simulate_command(argv: List[str]) -> int:
-    from repro.arch.configs import ARCHITECTURE_FACTORIES
+    from repro.arch.configs import ARCHITECTURE_FACTORIES, build_architecture
     from repro.experiments.matrices import ALL_MATRICES, load_matrix
     from repro.faults.errors import FaultScheduleError, SimFault
     from repro.faults.schedule import FaultSchedule
@@ -364,8 +364,7 @@ def _simulate_command(argv: List[str]) -> int:
     if args.faults is not None and args.random_faults is not None:
         raise SystemExit("--faults and --random-faults are mutually exclusive")
 
-    factory = ARCHITECTURE_FACTORIES[args.arch]
-    arch = factory() if args.arch == "piuma" else factory(args.scale)
+    arch = build_architecture(args.arch, args.scale)
     matrix = (
         load_matrix(args.matrix)
         if args.matrix in ALL_MATRICES
@@ -503,7 +502,7 @@ def _resilience_command(argv: List[str]) -> int:
 
 # ----------------------------------------------------------------------
 def _partition_command(argv: List[str]) -> int:
-    from repro.arch.configs import ARCHITECTURE_FACTORIES
+    from repro.arch.configs import ARCHITECTURE_FACTORIES, build_architecture
     from repro.pipeline.preprocess import HotTilesPreprocessor
     from repro.sparse.mmio import read_matrix_market
 
@@ -531,8 +530,7 @@ def _partition_command(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    factory = ARCHITECTURE_FACTORIES[args.arch]
-    arch = factory() if args.arch == "piuma" else factory(args.scale)
+    arch = build_architecture(args.arch, args.scale)
     matrix = read_matrix_market(args.matrix)
     print(f"matrix: {matrix}")
     print(f"architecture: {arch}")
@@ -610,7 +608,7 @@ def _save_formats(result, out: Path) -> List[str]:
 
 # ----------------------------------------------------------------------
 def _trace_command(argv: List[str]) -> int:
-    from repro.arch.configs import ARCHITECTURE_FACTORIES
+    from repro.arch.configs import ARCHITECTURE_FACTORIES, build_architecture
     from repro.experiments.matrices import ALL_MATRICES, load_matrix
     from repro.obs import Tracer, flamegraph_summary, save_chrome_trace, use_tracer
     from repro.pipeline.preprocess import HotTilesPreprocessor
@@ -650,8 +648,7 @@ def _trace_command(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    factory = ARCHITECTURE_FACTORIES[args.arch]
-    arch = factory() if args.arch == "piuma" else factory(args.scale)
+    arch = build_architecture(args.arch, args.scale)
     matrix = (
         load_matrix(args.matrix)
         if args.matrix in ALL_MATRICES

@@ -631,15 +631,16 @@ def repair_plan(
 
     ``tiled`` is the post-delta tiling and ``dirty_keys`` the sorted tile
     keys reported structurally dirty by
-    :func:`repro.streaming.apply.apply_delta_tiled`.  The expensive step
-    of planning is the per-tile model evaluation, and that is what gets
-    memoized: clean tiles are served from the cached cost table, only
-    dirty tiles hit :class:`AnalyticalModel` again.  The composed table
-    then goes through the same :func:`_search` as
+    :func:`repro.streaming.apply.apply_delta_tiled`.  The per-tile model
+    evaluations are memoized: clean tiles are served from the cached cost
+    table, only dirty tiles hit :class:`AnalyticalModel` again.  The
+    composed table then goes through the same :func:`_search` as
     :meth:`HotTilesPartitioner.partition` -- so the repaired plan is
     bit-equal to from-scratch partitioning of the post-delta matrix
     (cached per-tile costs are bit-identical to recomputing them), while
     ``RepairStats.tiles_repaired`` counts only the model re-evaluations.
+    The search, not the model, dominates: a full cost table is about a
+    tenth of a from-scratch partition (docs/streaming.md).
     """
     n = tiled.n_tiles
     keys = _tile_keys(tiled)

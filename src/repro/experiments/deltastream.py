@@ -5,18 +5,21 @@ updates against one matrix and, at every step, runs *both* maintenance
 strategies side by side:
 
 - **incremental** -- :func:`~repro.streaming.apply.apply_delta_tiled`
-  patches the tiling in place and :func:`~repro.core.partition.
-  repair_plan` re-evaluates only the dirty tiles against the memoized
-  :class:`~repro.core.partition.PartitionCache`, exactly the path the
-  plan service takes for ``POST /matrices/{digest}/delta``;
-- **scratch** -- retile the post-delta matrix and run the full
-  N log N partition, the ground truth.
+  merges the batch into the matrix and retiles it, and
+  :func:`~repro.core.partition.repair_plan` re-evaluates only the dirty
+  tiles against the memoized :class:`~repro.core.partition.
+  PartitionCache`, exactly the path the plan service takes for
+  ``POST /matrices/{digest}/delta``;
+- **scratch** -- rebuild the post-delta matrix from the previous one
+  without the merge (drop every cell the batch names, append the
+  inserts, sort), tile it and run the full N log N partition, the
+  ground truth.
 
 Two differential gates fall out (docs/streaming.md):
 
-1. the incrementally maintained :class:`~repro.sparse.tiling.
-   TiledMatrix` must be **bit-identical** to the scratch retiling --
-   every array, every dtype;
+1. the merged matrix and its tiling must be **bit-identical** to the
+   scratch rebuild and its tiling -- every array, every dtype, the
+   patched CSR ``indptr`` included;
 2. the repaired plan's predicted runtime must be within ``epsilon``
    (relative) of the from-scratch plan's.  Repair serves clean tiles
    from cached costs that are bit-identical to recomputing them and
@@ -73,6 +76,7 @@ def tiled_bit_identical(a: TiledMatrix, b: TiledMatrix) -> bool:
         (a.panel_uniq_rids, b.panel_uniq_rids),
         (a.panel_nnz, b.panel_nnz),
         (a.inverse_perm(), b.inverse_perm()),
+        (a.matrix.indptr(), b.matrix.indptr()),
     ]
     if (a.tile_height, a.tile_width) != (b.tile_height, b.tile_width):
         return False
@@ -95,11 +99,10 @@ class DeltaReplayRow:
     n_tiles: int  #: non-empty tiles after the delta
     tiles_repaired: int
     repaired_fraction: float
-    rebuilt: bool  #: incremental path fell back to a full retile
     label: str  #: heuristic chosen by the repaired plan
     repaired_ms: float  #: predicted runtime of the repaired plan
     scratch_ms: float  #: predicted runtime of the from-scratch plan
-    bit_identical: bool  #: post-delta tiling matches scratch exactly
+    bit_identical: bool  #: post-delta matrix and tiling match scratch exactly
 
     @property
     def rel_err(self) -> float:
@@ -117,7 +120,6 @@ class DeltaReplayRow:
             "n_tiles": self.n_tiles,
             "tiles_repaired": self.tiles_repaired,
             "repaired_fraction": self.repaired_fraction,
-            "rebuilt": self.rebuilt,
             "label": self.label,
             "repaired_ms": self.repaired_ms,
             "scratch_ms": self.scratch_ms,
@@ -201,6 +203,26 @@ class DeltaReplayResult:
         return path
 
 
+def _rebuild(matrix: SparseMatrix, delta: DeltaBatch) -> SparseMatrix:
+    """``matrix`` after ``delta``, built without the incremental merge:
+    drop every cell the batch deletes or inserts, append the inserts and
+    let the constructor sort."""
+    n_cols = np.int64(max(matrix.n_cols, 1))
+    named = np.concatenate((
+        delta.delete_rows * n_cols + delta.delete_cols,
+        delta.insert_rows * n_cols + delta.insert_cols,
+    ))
+    keep = ~np.isin(matrix.rows * n_cols + matrix.cols, named)
+    return SparseMatrix(
+        matrix.n_rows,
+        matrix.n_cols,
+        np.concatenate((matrix.rows[keep], delta.insert_rows)),
+        np.concatenate((matrix.cols[keep], delta.insert_cols)),
+        np.concatenate((matrix.vals[keep], delta.insert_vals.astype(matrix.dtype))),
+        dtype=matrix.dtype,
+    )
+
+
 def delta_replay(
     matrix: SparseMatrix,
     arch_name: str = "spade-sextans",
@@ -217,11 +239,11 @@ def delta_replay(
 
     ``insert_region`` = ``(row_lo, row_hi, col_lo, col_hi)`` concentrates
     the inserts (hot-spot churn); deletes always draw from the whole
-    matrix.  The incremental state (tiling *and* partition cache) chains
+    matrix.  The incremental state (matrix *and* partition cache) chains
     across steps, so drift -- if any -- is cumulative, exactly as in the
     long-lived service lineage.
     """
-    from repro.arch.configs import ARCHITECTURE_FACTORIES
+    from repro.arch.configs import ARCHITECTURE_FACTORIES, build_architecture
     from repro.core.partition import HotTilesPartitioner, plan_cache_from, repair_plan
     from repro.streaming.apply import apply_delta_tiled
 
@@ -232,8 +254,7 @@ def delta_replay(
             f"unknown architecture: {arch_name} "
             f"(known: {', '.join(sorted(ARCHITECTURE_FACTORIES))})"
         )
-    factory = ARCHITECTURE_FACTORIES[arch_name]
-    arch = factory() if arch_name == "piuma" else factory(scale)
+    arch = build_architecture(arch_name, scale)
     partitioner = HotTilesPartitioner(arch)
 
     region = tuple(int(v) for v in insert_region) if insert_region else None
@@ -249,11 +270,12 @@ def delta_replay(
             seed=seed * 1_000_003 + step,
             insert_region=region,
         )
+        scratch_tiled = TiledMatrix(
+            _rebuild(tiled.matrix, delta), arch.tile_height, arch.tile_width
+        )
         tiled, report = apply_delta_tiled(tiled, delta)
         outcome = repair_plan(partitioner, tiled, cache, report.dirty_tile_keys)
         cache = outcome.cache
-
-        scratch_tiled = TiledMatrix(tiled.matrix, arch.tile_height, arch.tile_width)
         scratch = partitioner.partition(scratch_tiled)
 
         rows.append(
@@ -266,7 +288,6 @@ def delta_replay(
                 n_tiles=tiled.n_tiles,
                 tiles_repaired=outcome.stats.tiles_repaired,
                 repaired_fraction=outcome.stats.repaired_fraction,
-                rebuilt=report.rebuilt,
                 label=outcome.result.chosen.label,
                 repaired_ms=outcome.result.chosen.predicted_time_s * 1e3,
                 scratch_ms=scratch.chosen.predicted_time_s * 1e3,

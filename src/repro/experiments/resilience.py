@@ -131,7 +131,7 @@ def resilience_sweep(
     label: Optional[str] = None,
 ) -> ResilienceResult:
     """Sweep fault intensity per architecture; see the module docstring."""
-    from repro.arch.configs import ARCHITECTURE_FACTORIES
+    from repro.arch.configs import ARCHITECTURE_FACTORIES, build_architecture
     from repro.pipeline.preprocess import HotTilesPreprocessor
     from repro.sim.engine import simulate
 
@@ -148,8 +148,7 @@ def resilience_sweep(
 
     rows: List[ResilienceRow] = []
     for arch_i, name in enumerate(arches):
-        factory = ARCHITECTURE_FACTORIES[name]
-        arch = factory() if name == "piuma" else factory(scale)
+        arch = build_architecture(name, scale)
         preprocess = HotTilesPreprocessor(arch).run(matrix)
         chosen = preprocess.partition.chosen
         base = simulate(

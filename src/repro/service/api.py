@@ -150,7 +150,6 @@ def delta_endpoint(
             "n_tiles": update.n_tiles,
             "tiles_repaired": update.repair.tiles_repaired,
             "repaired_fraction": update.repair.repaired_fraction,
-            "rebuilt": update.report.rebuilt,
         },
         "plan": result.to_dict(),
     }

@@ -173,6 +173,7 @@ class PlanRequest:
         tenants asking for the same matrix still coalesce onto one
         computation.
         """
+        from repro.arch.configs import factory_args
         from repro.experiments.cache import code_version, stable_digest
 
         if self.matrix is not None:
@@ -191,7 +192,7 @@ class PlanRequest:
                 "plan-request",
                 code_version(),
                 self.arch,
-                self._factory_args(),
+                factory_args(self.arch, self.scale),
                 matrix_token,
             )
         )
@@ -234,15 +235,11 @@ class PlanRequest:
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"generator {kind!r} rejected parameters: {exc}") from None
 
-    def _factory_args(self) -> Tuple[int, ...]:
-        """Arguments of the architecture factory: PIUMA takes no scale."""
-        return () if self.arch == "piuma" else (self.scale,)
-
     def build_architecture(self):
         """Instantiate the requested :class:`~repro.arch.heterogeneous.Architecture`."""
-        from repro.arch.configs import ARCHITECTURE_FACTORIES
+        from repro.arch.configs import build_architecture
 
-        return ARCHITECTURE_FACTORIES[self.arch](*self._factory_args())
+        return build_architecture(self.arch, self.scale)
 
     def describe(self) -> str:
         if self.matrix is not None:

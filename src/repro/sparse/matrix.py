@@ -52,6 +52,13 @@ class SparseMatrix:
     ) -> None:
         if n_rows < 0 or n_cols < 0:
             raise ValueError(f"matrix dimensions must be non-negative, got {n_rows}x{n_cols}")
+        # The canonical order sorts ``row * n_cols + col`` keys, whose
+        # largest is n_rows * n_cols - 1; a key that wrapped int64 would
+        # silently store the nonzeros out of row-major order.
+        if int(n_rows) * int(n_cols) > 2**63:
+            raise ValueError(
+                f"a {n_rows}x{n_cols} matrix has more cells than int64 keys can address"
+            )
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.ndim != 1 or cols.ndim != 1 or rows.shape != cols.shape:

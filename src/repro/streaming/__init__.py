@@ -10,17 +10,17 @@ track cheaply:
   and load generation,
 - :mod:`repro.streaming.apply` -- incremental application:
   :func:`apply_delta_matrix` merges a batch into the canonical COO/CSR
-  arrays without a global re-sort, and :func:`apply_delta_tiled` repairs a
-  :class:`~repro.sparse.tiling.TiledMatrix` in place of retiling,
-  bit-identical to the from-scratch construction, while reporting which
-  tiles went structurally dirty,
+  arrays without a global re-sort, bit-identical to the from-scratch
+  construction, and :func:`apply_delta_tiled` retiles the merged matrix
+  as a fresh :class:`~repro.sparse.tiling.TiledMatrix` while reporting
+  which tiles went structurally dirty,
 - :mod:`repro.streaming.lineage` -- the service-side
   :class:`MatrixLineage` / :class:`LineageRegistry` tracking the mutable
   head of each registered matrix so ``POST /matrices/{digest}/delta`` can
   apply batches and repair plans incrementally.
 
-``SparseMatrix.apply_delta`` and ``TiledMatrix.apply_delta`` are thin
-method wrappers over the functions here.  The partition-repair entry point
+``SparseMatrix.apply_delta`` is a thin method wrapper over
+:func:`apply_delta_matrix`.  The partition-repair entry point
 (:func:`repro.core.partition.repair_plan`) lives with the partitioner it
 extends.  See docs/streaming.md.
 """

@@ -138,7 +138,7 @@ class MatrixLineage:
                     report=DeltaApplyReport(
                         n_inserted=0, n_overwritten=0, n_deleted=0,
                         dirty_tile_keys=self.cache.tile_keys[:0],
-                        tiles_before=n, tiles_after=n, rebuilt=False,
+                        tiles_before=n, tiles_after=n,
                     ),
                     repair=RepairStats(
                         n_tiles=n, tiles_repaired=0, tiles_pinned=n,

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.arch.configs import piuma, spade_sextans
+from repro.experiments.cache import CACHE_DIR_ENV
 from repro.sparse import generators
 from repro.sparse.matrix import SparseMatrix
 from repro.sparse.tiling import TiledMatrix
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_dir(tmp_path_factory):
+    """Point the result cache at a session temp directory before any test
+    runs, so the suite leaves nothing in ``~/.cache/hottiles``; test
+    subprocesses inherit the variable."""
+    path = tmp_path_factory.mktemp("hottiles-cache")
+    os.environ[CACHE_DIR_ENV] = str(path)
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,12 @@ import pytest
 
 from repro.arch.configs import piuma, spade_sextans
 from repro.core.traits import WorkerKind
-from repro.experiments.cache import ResultCache, code_version, stable_digest
+from repro.experiments.cache import (
+    ResultCache,
+    code_version,
+    default_cache_dir,
+    stable_digest,
+)
 from repro.sim.engine import simulate_homogeneous
 from repro.sparse import generators
 from repro.sparse.tiling import TiledMatrix
@@ -207,6 +212,11 @@ class TestResultCache:
         cache.get(stable_digest("missing"))
         cache.reset_counters()
         assert cache.hits == 0 and cache.misses == 0
+
+    def test_suite_default_dir_is_session_temp(self, tmp_path_factory):
+        # The suite must not write to the user's ~/.cache/hottiles.
+        basetemp = tmp_path_factory.getbasetemp().resolve()
+        assert basetemp in default_cache_dir().resolve().parents
 
 
 class TestCacheMaintenance:

@@ -32,6 +32,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             SparseMatrix(2, 2, [2], [0])
 
+    def test_shape_beyond_int64_keys_rejected(self):
+        # 1024 * 2**62 cells: row-major keys would wrap int64 and scramble
+        # the order.  2**63 cells still fit (the largest key is 2**63 - 1).
+        rows, cols = [0, 0, 0, 5, 5, 1023], [0, 3, 2**62 - 1, 3, 2**62 - 2, 0]
+        with pytest.raises(ValueError, match=rf"1024x{2**62} matrix"):
+            SparseMatrix(1024, 2**62, rows, cols)
+        m = SparseMatrix(2, 2**62, [1, 0, 0], [0, 2**62 - 1, 3])
+        assert m.rows.tolist() == [0, 0, 1]
+        assert m.cols.tolist() == [3, 2**62 - 1, 0]
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             SparseMatrix(2, 2, [-1], [0])

@@ -81,7 +81,7 @@ class TestKeyOverflow:
         rows = [0, 0, 0, 5, 5, 1023]
         return SparseMatrix(1024, n_cols, rows, [0, 3, n_cols - 1, 3, n_cols - 2, 0])
 
-    @pytest.mark.parametrize("n_cols,th,tw", [(2**40, 1, 1), (2**62, 64, 2**20)])
+    @pytest.mark.parametrize("n_cols,th,tw", [(2**40, 1, 1), (2**53, 64, 2**20)])
     def test_wide_matrix_stats_match_brute_force(self, n_cols, th, tw):
         matrix = self.wide_matrix(n_cols)
         tiled = TiledMatrix(matrix, th, tw)
@@ -99,14 +99,20 @@ class TestKeyOverflow:
         assert got == want
 
     def test_unfittable_tile_key_raises(self):
-        with pytest.raises(ValueError, match=rf"1024x{2**62} matrix .* 1x1 tiles"):
-            TiledMatrix(self.wide_matrix(2**62), 1, 1)
+        # 2**63 cells fit the matrix's own keys, but 1x1 tiles need
+        # position bits on top.
+        rows = [0, 0, 0, 5, 5, 2**31 - 1]
+        cols = [0, 3, 2**32 - 1, 3, 2**32 - 2, 0]
+        matrix = SparseMatrix(2**31, 2**32, rows, cols)
+        with pytest.raises(ValueError, match=rf"{2**31}x{2**32} matrix .* 1x1 tiles"):
+            TiledMatrix(matrix, 1, 1)
 
     def test_unfittable_column_key_raises(self):
-        # Tile keys fit (3 tiles), but 3 tiles of 2**62 local columns do not.
-        matrix = SparseMatrix(3, 2**62, [0, 1, 2], [0, 2**62 - 1, 5])
+        # Tile keys fit (4 tiles), but 4 tiles of 2**61 + 1 local columns
+        # do not.
+        matrix = SparseMatrix(2, 2**62, [0, 0, 1, 1], [0, 2**62 - 1, 0, 2**62 - 1])
         with pytest.raises(ValueError, match="column keys"):
-            TiledMatrix(matrix, 1, 2**62)
+            TiledMatrix(matrix, 1, 2**61 + 1)
 
 
 class TestTileAccess:
