@@ -79,7 +79,6 @@ and gate against a committed baseline (docs/performance.md)::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 import time
 from contextlib import contextmanager
@@ -1420,37 +1419,9 @@ def _bench_command(argv: List[str]) -> int:
             f"regression (default {perfbench.DEFAULT_TOLERANCE})"
         ),
     )
-    parser.add_argument(
-        "--backend",
-        choices=("python", "native"),
-        default=None,
-        help=(
-            "require this simulator backend for the run (the harness "
-            "still pins its tracked python stages; 'native' fails fast "
-            "when numba is missing instead of silently reporting a "
-            "python-only run)"
-        ),
-    )
     args = parser.parse_args(argv)
 
-    from repro.sim import backend as sim_backend
-
-    if args.backend is not None:
-        try:
-            with sim_backend.use_backend(args.backend):
-                sim_backend.active_backend()  # fail fast on native w/o numba
-        except sim_backend.BackendUnavailable as exc:
-            print(f"--backend native: {exc}", file=sys.stderr)
-            return 1
-
-    with (
-        sim_backend.use_backend(args.backend)
-        if args.backend is not None
-        else contextlib.nullcontext()
-    ):
-        if args.backend is not None:
-            print(f"backend: {sim_backend.active_backend()} (requested {args.backend})")
-        report = perfbench.run_bench(quick=args.quick, repeat=args.repeat)
+    report = perfbench.run_bench(quick=args.quick, repeat=args.repeat)
     print(perfbench.format_report(report))
     perfbench.write_report(report, args.output)
     print(f"wrote {args.output}")

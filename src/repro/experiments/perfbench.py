@@ -18,14 +18,6 @@ so the ratio transfers across machines); ``preprocess`` has no frozen
 twin, so it reports its wall normalized by the reference simulate wall of
 the same case -- also a machine-independent ratio.
 
-The python stages are timed with the backend pinned to ``python``
-(:func:`repro.sim.backend.use_backend`), so reports stay comparable
-across machines with and without numba.  When the compiled backend is
-importable a ``simulate_native`` stage is added per case -- its
-``speedup`` is against the frozen reference and ``vs_python`` against
-the vectorized python engine -- and the top-level ``backend`` field
-(:func:`repro.sim.backend.backend_info`) records what was available.
-
 :func:`compare` gates a fresh report against a committed baseline using
 those ratios only (never raw seconds), so CI stays meaningful on shared
 runners.  The regression tolerance lives in :data:`DEFAULT_TOLERANCE`.
@@ -43,7 +35,6 @@ import numpy as np
 
 from repro.arch.configs import spade_sextans
 from repro.core.partition import ExecutionMode, HotTilesPartitioner
-from repro.sim import backend as sim_backend
 from repro.sim._reference import build_plans_reference, simulate_reference
 from repro.sim.engine import simulate
 from repro.sim.worker_sim import build_plans
@@ -56,8 +47,6 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "BUILD_PLANS_MIN_SPEEDUP",
     "SIMULATE_MIN_SPEEDUP",
-    "NATIVE_SIMULATE_MIN_SPEEDUP",
-    "NATIVE_SIMULATE_MIN_VS_PYTHON",
     "FLOORS_CASE",
     "BenchCase",
     "CASES",
@@ -69,8 +58,10 @@ __all__ = [
 ]
 
 #: Report format identifier; bump on breaking schema changes.
-#: ``/2`` added the top-level ``backend`` field, the ``simulate_native``
-#: stage (machines with numba only), and the ``rmat14`` full-mode case.
+#: ``/2`` added the ``rmat14`` full-mode case.  Dropping its ``backend``
+#: field and ``simulate_native`` stage needed no bump: :func:`compare`
+#: reads only ``schema`` and the case stages, so older ``/2`` baselines
+#: still gate.
 SCHEMA = "hottiles-bench-perf/2"
 
 #: Relative slack on the gated ratios before :func:`compare` fails a stage.
@@ -81,13 +72,8 @@ DEFAULT_TOLERANCE = 0.25
 
 #: Absolute speedup floors the optimization PRs promised on the
 #: ``rmat13`` case (asserted by ``benchmarks/bench_perf_core.py``).
-#: ``NATIVE_*`` apply only where numba is importable (the native-smoke CI
-#: job): the compiled engine must beat the vectorized python engine 2x
-#: and the frozen reference 16x on simulate.
 BUILD_PLANS_MIN_SPEEDUP = 3.0
 SIMULATE_MIN_SPEEDUP = 2.0
-NATIVE_SIMULATE_MIN_VS_PYTHON = 2.0
-NATIVE_SIMULATE_MIN_SPEEDUP = 16.0
 
 
 @dataclass(frozen=True)
@@ -143,21 +129,17 @@ def _bench_case(case: BenchCase, arch, repeat: int) -> Dict[str, object]:
         chosen = HotTilesPartitioner(arch).partition(tiled).chosen
         return tiled, chosen.assignment, chosen.mode
 
-    # Pin the python backend for the tracked stages: their speedups gate
-    # regressions of the *python* engine and must not silently become
-    # native-vs-reference numbers on machines with numba.
-    with sim_backend.use_backend("python"):
-        pre_wall = _best_of(preprocess, repeat)
-        tiled, assignment, mode = preprocess()
+    pre_wall = _best_of(preprocess, repeat)
+    tiled, assignment, mode = preprocess()
 
-        build_wall = _best_of(lambda: build_plans(arch, tiled, assignment), repeat)
-        build_ref_wall = _best_of(
-            lambda: build_plans_reference(arch, tiled, assignment), repeat
-        )
-        sim_wall = _best_of(lambda: simulate(arch, tiled, assignment, mode), repeat)
-        sim_ref_wall = _best_of(
-            lambda: simulate_reference(arch, tiled, assignment, mode), repeat
-        )
+    build_wall = _best_of(lambda: build_plans(arch, tiled, assignment), repeat)
+    build_ref_wall = _best_of(
+        lambda: build_plans_reference(arch, tiled, assignment), repeat
+    )
+    sim_wall = _best_of(lambda: simulate(arch, tiled, assignment, mode), repeat)
+    sim_ref_wall = _best_of(
+        lambda: simulate_reference(arch, tiled, assignment, mode), repeat
+    )
 
     stages: Dict[str, object] = {
         "preprocess": {
@@ -177,22 +159,6 @@ def _bench_case(case: BenchCase, arch, repeat: int) -> Dict[str, object]:
             "speedup": sim_ref_wall / sim_wall,
         },
     }
-    if sim_backend.native_available():
-        with sim_backend.use_backend("native"):
-            # Warm-up call first so numba's one-time JIT compilation does
-            # not land in the timed repetitions (best-of-N would hide it,
-            # but the first repetition's wall would still be misleading
-            # in traces).
-            simulate(arch, tiled, assignment, mode)
-            native_wall = _best_of(
-                lambda: simulate(arch, tiled, assignment, mode), repeat
-            )
-        stages["simulate_native"] = {
-            "wall_s": native_wall,
-            "reference_wall_s": sim_ref_wall,
-            "speedup": sim_ref_wall / native_wall,
-            "vs_python": sim_wall / native_wall,
-        }
 
     return {
         "name": case.name,
@@ -219,12 +185,9 @@ def run_bench(quick: bool = False, repeat: int = 5) -> Dict[str, object]:
         "repeat": int(repeat),
         "arch": "spade_sextans(4)",
         "tile": [int(arch.tile_height), int(arch.tile_width)],
-        "backend": sim_backend.backend_info(),
         "targets": {
             "build_plans_min_speedup": BUILD_PLANS_MIN_SPEEDUP,
             "simulate_min_speedup": SIMULATE_MIN_SPEEDUP,
-            "native_simulate_min_speedup": NATIVE_SIMULATE_MIN_SPEEDUP,
-            "native_simulate_min_vs_python": NATIVE_SIMULATE_MIN_VS_PYTHON,
             "floors_case": FLOORS_CASE,
             "largest_case": LARGEST_CASE,
         },
@@ -293,19 +256,15 @@ def compare(
 
 def format_report(report: Dict[str, object]) -> str:
     """Fixed-width per-case, per-stage table for terminal output."""
-    backend = report.get("backend", {})
     lines = [
         f"perf bench ({report['mode']}, best of {report['repeat']}, "
-        f"arch {report['arch']}, "
-        f"native {'available' if backend.get('native_available') else 'absent'})",
+        f"arch {report['arch']})",
         f"{'case':<10} {'stage':<16} {'wall':>10} {'reference':>10} {'metric':>14}",
     ]
     for case in report["cases"]:
         for stage, data in case["stages"].items():
             ref = data.get("reference_wall_s")
-            if "vs_python" in data:
-                metric = f"{data['speedup']:.2f}x ({data['vs_python']:.2f}x vs py)"
-            elif "speedup" in data:
+            if "speedup" in data:
                 metric = f"{data['speedup']:.2f}x speedup"
             else:
                 metric = f"{data['normalized']:.3f} norm"

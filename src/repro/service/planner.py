@@ -334,7 +334,7 @@ class PlanService:
                     with self._lock:
                         self._inflight.pop(digest, None)
                     self._rejected.inc()
-                    raise AdmissionRejected(self._retry_after()) from None
+                    raise AdmissionRejected(self.retry_after_hint()) from None
             self._queue_gauge.set(self._queue.qsize())
         self._accepted.inc()
         if not primary:
@@ -525,7 +525,7 @@ class PlanService:
             self._rejected.inc()
             self._adm_shed.inc()
             raise AdmissionRejected(
-                self._retry_after(), tier=tier, reason=decision.reason
+                self.retry_after_hint(), tier=tier, reason=decision.reason
             )
         deadline_rel = (
             request.deadline_s
@@ -548,7 +548,7 @@ class PlanService:
             self._rejected.inc()
             self._adm_shed.inc()
             raise AdmissionRejected(
-                self._retry_after(), tier=tier, reason=reason
+                self.retry_after_hint(), tier=tier, reason=reason
             ) from None
         admission.enqueued(decision)
         return None
@@ -565,9 +565,6 @@ class PlanService:
         """Advisory client backoff: about one plan's worth of queue motion."""
         p50 = self._plan_wall.percentile(50)
         return max(0.05, min(p50 if p50 > 0 else 0.1, 5.0))
-
-    # Kept as an alias: earlier callers reached for the private name.
-    _retry_after = retry_after_hint
 
     def _degraded_plan(
         self, request: PlanRequest, digest: str, tracer: Any
@@ -867,13 +864,10 @@ class PlanService:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """One JSON-serializable snapshot (the ``/stats`` payload)."""
-        from repro.sim import backend as sim_backend
-
         snapshot = self.metrics.snapshot()
         snapshot["store"] = self.store.stats()
         snapshot["lineages"] = len(self.lineages)
         snapshot["uptime_s"] = time.time() - self.started_unix
-        snapshot["backend"] = sim_backend.backend_info()
         snapshot["config"] = {
             "workers": self.workers,
             "queue_depth": self.queue_depth,

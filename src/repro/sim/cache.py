@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import backend as _backend
-
 __all__ = ["windowed_lru_misses", "exact_lru_misses"]
 
 
@@ -34,11 +32,6 @@ def windowed_lru_misses(ids: np.ndarray, capacity_rows: int) -> np.ndarray:
     (typically far faster than a stable ``argsort`` plus gathers)
     reproduces the stable grouped order exactly; positions are recovered
     with a modulo.  Ids too large to pack fall back to the argsort path.
-
-    When the native backend is active (:mod:`repro.sim.backend`) and the
-    ids fit a dense previous-position table, the mask comes from the
-    compiled O(n) scan instead -- the window rule is pure integer logic,
-    so the mask is identical bit for bit.
     """
     ids = np.asarray(ids)
     n = ids.shape[0]
@@ -48,13 +41,6 @@ def windowed_lru_misses(ids: np.ndarray, capacity_rows: int) -> np.ndarray:
     ids64 = ids.astype(np.int64, copy=False)
     lo = int(ids64.min())
     hi = int(ids64.max())
-    if lo >= 0:
-        native = _backend.native_lru()
-        if native is not None:
-            from repro.sim._native import DENSE_ID_LIMIT
-
-            if hi <= DENSE_ID_LIMIT:
-                return native(ids64, capacity_rows, hi)
     if lo >= 0 and hi < (2**62) // n:
         span = np.int64(n)
         key = ids64 * span + np.arange(n, dtype=np.int64)

@@ -36,7 +36,6 @@ from repro.faults.schedule import (
     WorkerSlowdown,
 )
 from repro.obs.tracer import SIM, Tracer, get_tracer
-from repro.sim import backend as _backend
 from repro.sim.memory import RateAllocator
 from repro.sim.worker_sim import InstancePlan, build_plans
 from repro.sparse.tiling import TiledMatrix
@@ -129,8 +128,7 @@ def simulate(
 
     A non-empty ``faults`` schedule is injected into the same event loop
     (docs/faults.md): slowdowns, failures with work reassignment, and
-    bandwidth-degradation windows, summarized on ``SimResult.faults``.
-    Such runs always take the Python loop, whatever the backend.  An
+    bandwidth-degradation windows, summarized on ``SimResult.faults``.  An
     empty or ``None`` schedule injects nothing and leaves ``faults``
     ``None``, so results stay bit-identical to :mod:`repro.sim._reference`.
     """
@@ -287,17 +285,7 @@ def _run_fluid(
     it, so the dead instance's unfinished chunks appear on the heir's
     track as ``chunk<i> (<dead label>)``.  Tracing observes the existing
     state only -- it never feeds back into the arithmetic, which the
-    differential tests pin down bit for bit.
-
-    When the native backend is active (:mod:`repro.sim.backend`,
-    ``HOTTILES_BACKEND``) and the run is untraced and fault-free, the
-    whole event core is delegated to the compiled step machine in
-    :mod:`repro.sim._native`, which produces bit-identical results;
-    traced and faulted runs always take the Python loop below."""
-    if tracer is None and faults is None:
-        native = _backend.native_fluid()
-        if native is not None:
-            return native(arch, plans)
+    differential tests pin down bit for bit."""
     n = len(plans)
     completions = np.zeros(n, dtype=np.float64)
     if n == 0:

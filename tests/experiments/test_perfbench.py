@@ -10,7 +10,6 @@ import json
 
 from repro.cli import main
 from repro.experiments import perfbench
-from repro.sim import backend as sim_backend
 
 
 def _quick_report():
@@ -24,21 +23,13 @@ def test_report_schema_and_case_selection():
     quick_names = [c.name for c in perfbench.CASES if c.quick]
     assert [c["name"] for c in report["cases"]] == quick_names
 
-    # Schema /2: the backend snapshot and the native/floors targets.
-    backend = report["backend"]
-    assert set(backend) >= {"requested", "native_available", "numba_version", "active"}
-    assert backend["active"] in ("python", "native")
     targets = report["targets"]
     assert targets["floors_case"] == perfbench.FLOORS_CASE
-    assert targets["native_simulate_min_vs_python"] >= 2.0
 
-    expected_stages = {"preprocess", "build_plans", "simulate"}
-    if sim_backend.native_available():
-        expected_stages.add("simulate_native")
     for case in report["cases"]:
         assert case["nnz"] > 0 and case["n_tiles"] > 0
         stages = case["stages"]
-        assert set(stages) == expected_stages
+        assert set(stages) == {"preprocess", "build_plans", "simulate"}
         for name in ("build_plans", "simulate"):
             stage = stages[name]
             assert stage["wall_s"] > 0 and stage["reference_wall_s"] > 0
@@ -48,37 +39,6 @@ def test_report_schema_and_case_selection():
         assert pre["normalized"] == (
             pre["wall_s"] / stages["simulate"]["reference_wall_s"]
         )
-        if "simulate_native" in stages:
-            native = stages["simulate_native"]
-            assert native["vs_python"] == (
-                stages["simulate"]["wall_s"] / native["wall_s"]
-            )
-
-
-def test_cli_bench_backend_flag_fails_fast_without_numba(tmp_path, capsys):
-    """``--backend native`` must not silently report a python-only run."""
-    out = tmp_path / "BENCH_PERF.json"
-    rc = main(["bench", "--quick", "--repeat", "1", "--backend", "native", "-o", str(out)])
-    captured = capsys.readouterr()
-    if sim_backend.native_available():  # pragma: no cover - numba CI job only
-        assert rc == 0
-        assert perfbench.load_report(out)["backend"]["active"] == "native"
-    else:
-        assert rc == 1
-        assert not out.exists()
-        assert "numba is not installed" in captured.err
-    # The override must not leak into later tests.
-    assert sim_backend.requested_backend() == "auto"
-
-
-def test_cli_bench_backend_python_records_backend(tmp_path):
-    out = tmp_path / "BENCH_PERF.json"
-    assert main(
-        ["bench", "--quick", "--repeat", "1", "--backend", "python", "-o", str(out)]
-    ) == 0
-    report = perfbench.load_report(out)
-    assert report["backend"]["requested"] == "python"
-    assert report["backend"]["active"] == "python"
 
 
 def test_report_round_trips_through_json(tmp_path):

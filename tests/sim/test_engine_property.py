@@ -97,6 +97,15 @@ def test_completions_within_makespan(case):
     )
 
 
+def test_empty_plan_list():
+    """A group with no instances (either side of a serial run may be
+    empty) finishes at 0 with no completions and no profile."""
+    makespan, completions, profile = _run_fluid(ARCH, [])
+    assert makespan == 0.0
+    assert completions.shape == (0,)
+    assert profile == ()
+
+
 @st.composite
 def allocator_cases(draw):
     n = draw(st.integers(min_value=1, max_value=10))

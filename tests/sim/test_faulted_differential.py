@@ -9,12 +9,8 @@ seeded random schedules with all three event kinds on every
 architecture and mode, hand-built unsurvivable schedules, and degenerate
 matrices and assignments, with and without a schedule.  At loop level,
 ``_run_fluid`` must match the frozen loop's every completion time on
-synthetic plans, including phases at the engine's epsilon.  A last test
-guards the backend dispatch: faulted runs must never reach the native
-kernel, which has no fault hooks.
+synthetic plans, including phases at the engine's epsilon.
 """
-
-import functools
 
 import numpy as np
 import pytest
@@ -30,8 +26,6 @@ from repro.faults.schedule import (
     WorkerFailure,
     WorkerSlowdown,
 )
-from repro.sim import _native
-from repro.sim import backend as sim_backend
 from repro.sim._reference import simulate_reference
 from repro.sim.engine import _FaultTally, _instance_labels, _run_fluid, simulate
 from repro.sim.worker_sim import InstancePlan
@@ -356,43 +350,3 @@ def test_faults_aimed_at_a_group_with_zero_tiles(idle, mode):
     assert result.faults.failures == result.faults.slowdowns == 0
     assert result.time_s == clean.time_s
 
-
-# ----------------------------------------------------------------------
-# Backend dispatch
-# ----------------------------------------------------------------------
-def test_faulted_runs_never_take_the_native_kernel(monkeypatch):
-    """A native dispatch of a faulted run would silently drop every fault."""
-    arch = ARCHS["pcie"]
-    tiled = TiledMatrix(
-        generators.rmat(scale=9, nnz=4_000, seed=6), arch.tile_height, arch.tile_width
-    )
-    assignment = np.random.default_rng(6).random(tiled.n_tiles) < 0.3
-    schedule = FaultSchedule(
-        [
-            WorkerFailure(t_s=1e-7, kind="cold", index=2),
-            WorkerSlowdown(t_s=0.0, kind="cold", index=0, factor=3.0),
-            BandwidthWindow(t_start_s=0.0, t_end_s=1e-5, factor=0.5),
-        ]
-    )
-    with sim_backend.use_backend("python"):
-        want_faulted = simulate(arch, tiled, assignment, faults=schedule)
-        want_clean = simulate(arch, tiled, assignment)
-
-    calls = []
-    kernel = functools.partial(_native.run_fluid, jit=False)
-
-    def fake_native_fluid():
-        def run(arch, plans):
-            calls.append(len(plans))
-            return kernel(arch, plans)
-
-        return run
-
-    monkeypatch.setattr(sim_backend, "native_fluid", fake_native_fluid)
-    faulted = simulate(arch, tiled, assignment, faults=schedule)
-    assert calls == []
-    assert faulted.faults is not None and faulted.faults.failures == 1
-    assert faulted == want_faulted
-    # The stub is live: a clean run does go through it.
-    assert simulate(arch, tiled, assignment) == want_clean
-    assert calls

@@ -1,13 +1,19 @@
 """Frozen pre-optimization tile decomposition: the oracle for
 ``repro.sparse.tiling``.
 
-Kept verbatim (only this docstring is new) so
+Kept verbatim (apart from this docstring and the one deletion below) so
 ``test_tiling_differential.py`` can require the production
 :class:`TiledMatrix` -- which sorts unique packed ``(tile key, position)``
 keys without a stable argsort and counts distinct rows and columns per
 tile with segmented sums -- to build exactly the arrays this version
 built with a stable ``np.argsort`` of the tile keys and prefix sums over
 boolean arrays.  Imported only by tests.
+
+The one deliberate edit since it was frozen: ``TiledMatrix._from_parts``
+and ``TiledMatrix.apply_delta`` are deleted.  They served only the
+incremental tile-major delta merge, since removed from
+:mod:`repro.streaming.apply`; no test called them, and ``apply_delta``
+reached into the live retiling path, so it was not frozen code.
 """
 
 from __future__ import annotations
@@ -135,65 +141,6 @@ class TiledMatrix:
         ).astype(np.int64)
 
         self._inv_perm: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def _from_parts(
-        cls,
-        matrix: SparseMatrix,
-        tile_height: int,
-        tile_width: int,
-        n_panel_rows: int,
-        n_panel_cols: int,
-        perm: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        tile_offsets: np.ndarray,
-        stats: TileStats,
-        panel_nnz: np.ndarray,
-    ) -> "TiledMatrix":
-        """Assemble a tiling from precomputed parts, skipping the argsort.
-
-        Trusted internal constructor for the incremental delta-merge path
-        (:mod:`repro.streaming.apply`), which repairs every other field so
-        that the result is bit-identical to ``TiledMatrix(matrix, th, tw)``;
-        the panel distinct rows are derived here as there.  The inverse
-        permutation is refreshed eagerly: the merge already holds the new
-        ``perm``, so one scatter keeps the cache warm instead of
-        invalidating it.
-        """
-        self = object.__new__(cls)
-        self.matrix = matrix
-        self.tile_height = int(tile_height)
-        self.tile_width = int(tile_width)
-        self.n_panel_rows = int(n_panel_rows)
-        self.n_panel_cols = int(n_panel_cols)
-        self.perm = perm
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self.tile_offsets = tile_offsets
-        self.stats = stats
-        self.panel_uniq_rids = _panel_uniq_rids(matrix, tile_height, n_panel_rows)
-        self.panel_nnz = panel_nnz
-        inv = np.empty(perm.shape[0], dtype=np.int64)
-        inv[perm] = np.arange(perm.shape[0], dtype=np.int64)
-        inv.flags.writeable = False
-        self._inv_perm = inv
-        return self
-
-    def apply_delta(self, delta) -> "TiledMatrix":
-        """Apply a :class:`repro.streaming.delta.DeltaBatch` incrementally.
-
-        Returns a repaired tiling (or ``self`` for an empty batch)
-        bit-identical to retiling the mutated matrix from scratch; see
-        :func:`repro.streaming.apply.apply_delta_tiled`, which also reports
-        the structurally dirty tiles.
-        """
-        from repro.streaming.apply import apply_delta_tiled
-
-        return apply_delta_tiled(self, delta)[0]
 
     @property
     def n_tiles(self) -> int:
