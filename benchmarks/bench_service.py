@@ -27,30 +27,19 @@ SIGKILLed mid-pass and the supervisor restarts it.  The gate is *zero
 dropped connections* -- every request resolves to a real HTTP status
 (the router answers ``503`` + ``Retry-After`` for the dead shard's
 digests and the load generator retries them to completion).
-
-SLO-replay (docs/autoscaling.md): the committed burst trace is replayed
-in virtual time with the autoscaler on and off.  On must meet the
-trace's queue-wait p99 SLO, off must violate it -- a deterministic
-discrete-event result, so this gate has no machine-class calibration or
-timing flake at all.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List
 
 from repro.cluster.manager import ClusterManager
-from repro.experiments.sloreplay import slo_replay_gate
 from repro.service.httpd import make_server
 from repro.service.loadgen import LoadgenPass, default_request_payloads, run_loadgen, run_pass
 from repro.service.planner import PlanService
 from repro.service.store import PlanStore
-
-#: The committed burst trace the SLO gate replays.
-BURST_TRACE = Path(__file__).resolve().parent.parent / "tests" / "golden" / "replay_burst.json"
 
 REQUESTS = 200
 CONCURRENCY = 8
@@ -241,32 +230,3 @@ def test_cluster_bench(benchmark, tmp_path):
         f"fell under the committed floor {CLUSTER_COLD_RPS_FLOOR:.0f} req/s "
         f"(= {CLUSTER_RPS_MULTIPLE}x the single-process floor)"
     )
-
-
-# ----------------------------------------------------------------------
-def test_slo_replay_gate(benchmark):
-    """Autoscaling on meets the burst's queue-wait p99 SLO; off violates it.
-
-    Virtual-time replay of the committed trace: deterministic, no
-    server, no sleeps -- the one service gate that cannot flake.
-    """
-    result = benchmark.pedantic(
-        lambda: slo_replay_gate(BURST_TRACE), rounds=1, iterations=1
-    )
-    print()
-    print(result.render())
-    on = result.with_autoscale
-    assert on.queue_wait_p99_s <= result.slo_s, (
-        f"autoscaled replay p99 {on.queue_wait_p99_s:.3f}s blew the "
-        f"{result.slo_s:g}s SLO"
-    )
-    assert not result.without_autoscale.meets_slo(result.slo_s), (
-        "the frozen-pool replay met the SLO -- autoscaling is not being "
-        "exercised by this trace"
-    )
-    # The autoscaler actually acted, and shed only the droppable tier.
-    summary = on.decision_summary()
-    assert summary["scale_ups"] >= 1
-    assert summary["peak_workers"] > 1
-    assert set(summary["shed_by_tier"]) <= {"bronze"}
-    assert result.passes()

@@ -33,15 +33,9 @@ fault schedule and sweep fault intensity::
 
     hottiles serve [--port 8750] [--workers 2] [--queue-depth 16]
     hottiles serve --cluster 4 [--port 0]      # sharded multi-process cluster
-    hottiles serve --admission --autoscale [--max-workers 8] \\
-        [--queue-wait-slo 0.5]                 # SLO-aware (docs/autoscaling.md)
     hottiles loadgen [--requests 200] [--concurrency 8]
     hottiles loadgen --chaos [--chaos-rate 0.1] [--chaos-kinds timeout]
     hottiles loadgen --cluster [--json report.json]  # per-shard latency
-    hottiles loadgen --record trace.json       # record a replayable trace
-    hottiles loadgen --replay trace.json [--warp 2]   # open-loop live replay
-    hottiles loadgen --replay trace.json --virtual [--no-autoscale]
-    hottiles loadgen --synth-burst burst.json --seed 0
 
 ``serve --cluster N`` (docs/cluster.md) runs N planner shard processes
 behind an asyncio router that consistent-hashes on matrix digest, so
@@ -736,35 +730,6 @@ def _serve_command(argv: List[str]) -> int:
         "roofline-only degraded plan (docs/faults.md)",
     )
     parser.add_argument(
-        "--admission",
-        action="store_true",
-        help="tiered predictive admission: estimate each request's "
-        "planning cost on arrival, EDF-queue with per-tenant quotas, "
-        "degrade or shed by policy tier (docs/autoscaling.md)",
-    )
-    parser.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="grow/shrink the worker pool (or, with --cluster, the shard "
-        "count) against the queue-wait SLO; implies --admission",
-    )
-    parser.add_argument(
-        "--min-workers", type=int, default=1,
-        help="autoscale floor: workers (or shards) (default: 1)",
-    )
-    parser.add_argument(
-        "--max-workers", type=int, default=8,
-        help="autoscale ceiling: workers (or shards) (default: 8)",
-    )
-    parser.add_argument(
-        "--queue-wait-slo", type=float, default=0.5, metavar="S",
-        help="queue-wait p99 SLO the pool is sized against (default: 0.5s)",
-    )
-    parser.add_argument(
-        "--autoscale-tick", type=float, default=0.25, metavar="S",
-        help="autoscaler observe-decide-apply interval (default: 0.25s)",
-    )
-    parser.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
     )
     parser.add_argument(
@@ -781,56 +746,19 @@ def _serve_command(argv: List[str]) -> int:
         return _serve_cluster(args)
 
     store = PlanStore(args.store_dir, max_bytes=args.store_max_bytes)
-    admission = None
-    if args.admission or args.autoscale:
-        from repro.service.admission import AdmissionController
-
-        admission = AdmissionController()
     service = PlanService(
         store=store,
         workers=args.workers,
         queue_depth=args.queue_depth,
         default_timeout_s=args.timeout,
         degraded_fallback=not args.no_degraded_fallback,
-        admission=admission,
     )
-    if args.autoscale:
-        from repro.service.autoscale import AutoscaleConfig, Autoscaler
-
-        try:
-            autoscale_cfg = AutoscaleConfig(
-                min_workers=args.min_workers,
-                max_workers=args.max_workers,
-                tick_s=args.autoscale_tick,
-                queue_wait_slo_s=args.queue_wait_slo,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"--autoscale: {exc}")
-        service.attach_autoscaler(
-            Autoscaler(
-                service.autoscale_snapshot,
-                service.set_workers,
-                config=autoscale_cfg,
-                decision_log=admission.decisions if admission else None,
-                unit="workers",
-            ).start()
-        )
     server = make_server(service, host=args.host, port=args.port, verbose=args.verbose)
     host, port = server.server_address[0], server.bound_port
-    policy = []
-    if admission is not None:
-        policy.append("admission")
-    if args.autoscale:
-        policy.append(
-            f"autoscale {args.min_workers}-{args.max_workers} "
-            f"slo {args.queue_wait_slo:g}s"
-        )
     print(
         f"hottiles plan service on http://{host}:{port} port={port} "
         f"({args.workers} workers, queue depth {args.queue_depth}, "
-        f"store {store.store_dir}"
-        + (", " + ", ".join(policy) if policy else "")
-        + ")",
+        f"store {store.store_dir})",
         flush=True,
     )
     with _maybe_tracing(args.trace):
@@ -894,38 +822,15 @@ def _serve_cluster(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         timeout_s=args.timeout,
         degraded_fallback=not args.no_degraded_fallback,
-        admission=args.admission or args.autoscale,
         log=log,
     )
     manager.start()
     try:
-        if args.autoscale:
-            from repro.service.autoscale import AutoscaleConfig
-
-            try:
-                autoscale_cfg = AutoscaleConfig(
-                    min_workers=args.min_workers,
-                    max_workers=args.max_workers,
-                    tick_s=args.autoscale_tick,
-                    queue_wait_slo_s=args.queue_wait_slo,
-                )
-            except ValueError as exc:
-                raise SystemExit(f"--autoscale: {exc}")
-            # Advisory loop: the manager spawns/drains whole shards
-            # against the cluster-wide queue-wait SLO (docs/cluster.md).
-            manager.start_autoscaler(autoscale_cfg)
         port = manager.bound_port
         print(
             f"hottiles plan cluster on {manager.base_url} port={port} "
             f"({args.cluster} shards x {args.workers} workers, "
-            f"store {store_dir}"
-            + (
-                f", autoscale {args.min_workers}-{args.max_workers} shards "
-                f"slo {args.queue_wait_slo:g}s"
-                if args.autoscale
-                else ""
-            )
-            + ")",
+            f"store {store_dir})",
             flush=True,
         )
         for row in manager.describe()["shards"]:
@@ -944,24 +849,11 @@ def _serve_cluster(args: argparse.Namespace) -> int:
 
 
 def _loadgen_command(argv: List[str]) -> int:
-    from repro.service.loadgen import (
-        LoadgenReport,
-        fetch_stats,
-        replay_pass_live,
-        run_loadgen,
-    )
-    from repro.service.replay import (
-        RequestTrace,
-        TraceRecorder,
-        burst_trace,
-        replay_trace,
-    )
+    from repro.service.loadgen import run_loadgen
 
     parser = argparse.ArgumentParser(
         prog="hottiles loadgen",
-        description="Closed-loop load generator against a running plan "
-        "service, plus deterministic trace record/replay "
-        "(docs/autoscaling.md)",
+        description="Closed-loop load generator against a running plan service",
     )
     parser.add_argument(
         "--url", default="http://127.0.0.1:8750", help="service base URL"
@@ -1024,78 +916,9 @@ def _loadgen_command(argv: List[str]) -> int:
         "given bare (progress then goes to stderr, so stdout parses "
         "whole with json.loads)",
     )
-    parser.add_argument(
-        "--record",
-        default=None,
-        metavar="FILE",
-        help="record every completed request (arrival offset, tenant, "
-        "tier, digest, measured plan wall) into a canonical-JSON trace",
-    )
-    parser.add_argument(
-        "--replay",
-        default=None,
-        metavar="FILE",
-        help="replay a recorded trace instead of the closed loop: "
-        "open-loop against --url, or simulated with --virtual",
-    )
-    parser.add_argument(
-        "--virtual",
-        action="store_true",
-        help="with --replay: virtual-time discrete-event replay -- no "
-        "server, no clocks, bit-identical decision logs across runs",
-    )
-    parser.add_argument(
-        "--warp",
-        type=float,
-        default=1.0,
-        metavar="F",
-        help="live replay time warp: recorded offsets divided by F "
-        "(2 = twice as fast; default 1)",
-    )
-    parser.add_argument(
-        "--no-autoscale",
-        action="store_true",
-        help="with --virtual: replay with a fixed worker pool (the SLO "
-        "gate's control arm)",
-    )
-    parser.add_argument(
-        "--slo",
-        type=float,
-        default=None,
-        metavar="S",
-        help="queue-wait p99 SLO to gate the virtual replay against "
-        "(default: the trace's queue_wait_slo_p99_s meta, if any)",
-    )
-    parser.add_argument(
-        "--synth-burst",
-        default=None,
-        metavar="FILE",
-        help="write the seeded synthetic burst trace to FILE and exit "
-        "(regenerates tests/golden/replay_burst.json byte-identically)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for --synth-burst"
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        default=None,
-        metavar="N",
-        help="closed loop: spread payloads over N tenants t0..t{N-1}",
-    )
-    parser.add_argument(
-        "--tiers",
-        nargs="+",
-        default=None,
-        metavar="TIER",
-        help="closed loop: assign these policy tiers round-robin "
-        "(gold/silver/bronze)",
-    )
     args = parser.parse_args(argv)
     if args.passes < 1:
         raise SystemExit("--passes must be >= 1")
-    if args.virtual and not args.replay:
-        raise SystemExit("--virtual needs --replay FILE")
 
     import json as _json
 
@@ -1116,51 +939,6 @@ def _loadgen_command(argv: List[str]) -> int:
             )
             progress(f"report written to {args.json}")
 
-    if args.synth_burst:
-        trace = burst_trace(seed=args.seed)
-        path = trace.save(args.synth_burst)
-        progress(
-            f"burst trace (seed {args.seed}, {len(trace)} requests over "
-            f"{trace.duration_s:.2f}s) written to {path}"
-        )
-        if args.json:
-            emit_json(trace.meta)
-        return 0
-
-    if args.replay:
-        try:
-            trace = RequestTrace.load(args.replay)
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(f"--replay: {exc}")
-        if args.virtual:
-            return _virtual_replay(trace, args, progress, emit_json)
-        result = replay_pass_live(
-            args.url.rstrip("/"),
-            trace,
-            warp=args.warp,
-            name=f"replay x{args.warp:g}",
-        )
-        report = LoadgenReport(
-            passes=[result], server_stats=fetch_stats(args.url.rstrip("/"))
-        )
-        progress(report.render())
-        emit_json(report.to_dict())
-        failed = bool(report.failed)
-        if result.shed_missing_retry_after:
-            progress(
-                f"shed contract FAILED: {result.shed_missing_retry_after} "
-                "429 replies without Retry-After"
-            )
-            failed = True
-        if args.cluster and report.transport_errors:
-            progress(
-                f"cluster gate FAILED: {report.transport_errors} dropped "
-                "connection(s) -- every request must resolve to an HTTP "
-                "status"
-            )
-            failed = True
-        return 1 if failed else 0
-
     chaos = None
     if args.chaos:
         from repro.faults.chaos import ChaosConfig
@@ -1174,18 +952,6 @@ def _loadgen_command(argv: List[str]) -> int:
         except ValueError as exc:
             raise SystemExit(f"--chaos: {exc}")
 
-    recorder = None
-    if args.record:
-        recorder = TraceRecorder(
-            meta={"source": "loadgen", "url": args.url,
-                  "requests": args.requests, "passes": args.passes}
-        )
-    tenants = None
-    if args.tenants is not None:
-        if args.tenants < 1:
-            raise SystemExit("--tenants must be >= 1")
-        tenants = [f"t{i}" for i in range(args.tenants)]
-
     report = run_loadgen(
         args.url.rstrip("/"),
         requests=args.requests,
@@ -1193,14 +959,8 @@ def _loadgen_command(argv: List[str]) -> int:
         plans=args.plans,
         passes=args.passes,
         chaos=chaos,
-        recorder=recorder,
-        tenants=tenants,
-        tiers=args.tiers,
     )
     progress(report.render())
-    if recorder is not None:
-        path = recorder.trace().save(args.record)
-        progress(f"trace ({len(recorder)} requests) recorded to {path}")
     emit_json(report.to_dict())
     failed = bool(report.failed) or not report.reconciles()
     if args.cluster and report.transport_errors:
@@ -1210,37 +970,6 @@ def _loadgen_command(argv: List[str]) -> int:
         )
         failed = True
     return 1 if failed else 0
-
-
-def _virtual_replay(trace, args, progress, emit_json) -> int:
-    """``loadgen --replay FILE --virtual`` -- the deterministic DES path."""
-    from repro.service.replay import replay_trace
-
-    result = replay_trace(trace, autoscale=not args.no_autoscale)
-    summary = result.decision_summary()
-    progress(
-        f"virtual replay: {summary['offered']} offered, "
-        f"{summary['completed']} completed, {summary['degraded']} degraded, "
-        f"{summary['shed']} shed ({summary['shed_by_tier'] or '-'})"
-    )
-    progress(
-        f"autoscale {'on' if not args.no_autoscale else 'OFF'}: "
-        f"{summary['scale_ups']} scale-ups, {summary['scale_downs']} "
-        f"scale-downs, peak {summary['peak_workers']} workers; "
-        f"queue-wait p99 {result.queue_wait_p99_s * 1e3:.1f} ms"
-    )
-    emit_json(result.to_dict())
-    slo = args.slo
-    if slo is None:
-        meta_slo = trace.meta.get("queue_wait_slo_p99_s")
-        slo = float(meta_slo) if meta_slo is not None else None
-    if slo is not None:
-        ok = result.meets_slo(slo)
-        progress(
-            f"queue-wait p99 SLO {slo:g}s: {'met' if ok else 'VIOLATED'}"
-        )
-        return 0 if ok else 1
-    return 0
 
 
 def _delta_replay_command(argv: List[str]) -> int:

@@ -33,17 +33,11 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.cluster.ipc import FrameError, recv_frame, send_frame
 from repro.cluster.router import ClusterRouter
 from repro.cluster.shard import HANDSHAKE_PREFIX
-from repro.service.autoscale import (
-    AutoscaleConfig,
-    Autoscaler,
-    ScaleSnapshot,
-)
-from repro.service.metrics import Histogram
 
 __all__ = ["ClusterManager", "ShardProcess"]
 
@@ -94,7 +88,6 @@ class ClusterManager:
         queue_depth: int = 16,
         timeout_s: float = 60.0,
         degraded_fallback: bool = True,
-        admission: bool = False,
         supervise: bool = True,
         restart_backoff_s: float = 0.2,
         log=None,
@@ -107,15 +100,12 @@ class ClusterManager:
         self.queue_depth = queue_depth
         self.timeout_s = timeout_s
         self.degraded_fallback = degraded_fallback
-        self.admission = admission
         self.supervise = supervise
         self.restart_backoff_s = restart_backoff_s
         self._log = log or (lambda line: None)
         self._shards: Dict[int, ShardProcess] = {
             sid: ShardProcess(sid) for sid in range(shards)
         }
-        self._next_shard_id = shards
-        self._autoscaler: Optional[Autoscaler] = None
         self._stopped: set = set()  # shards intentionally taken down
         self._lock = threading.RLock()
         self._closing = threading.Event()
@@ -154,8 +144,6 @@ class ClusterManager:
         ]
         if not self.degraded_fallback:
             cmd.append("--no-degraded-fallback")
-        if self.admission:
-            cmd.append("--admission")
         env = dict(os.environ)
         src = _src_root()
         existing = env.get("PYTHONPATH", "")
@@ -251,9 +239,7 @@ class ClusterManager:
     # ------------------------------------------------------------------
     def _control(self, shard_id: int, message: Dict[str, Any],
                  timeout_s: float = 10.0) -> Optional[Dict[str, Any]]:
-        entry = self._shards.get(shard_id)
-        if entry is None:  # removed by a concurrent scale-down
-            return None
+        entry = self._shards[shard_id]
         try:
             with socket.create_connection(
                 (self.host, entry.port), timeout=timeout_s
@@ -311,119 +297,11 @@ class ClusterManager:
         return pid
 
     # ------------------------------------------------------------------
-    # Autoscaling (docs/autoscaling.md)
-    # ------------------------------------------------------------------
-    @property
-    def shard_count(self) -> int:
-        with self._lock:
-            return len(self._shards)
-
-    def scale_shards(self, target: int) -> int:
-        """Grow or shrink the shard pool to ``target``; returns the size.
-
-        Grow spawns fresh shard ids (never reusing a retired id, so the
-        decision log stays unambiguous) and adds them to the ring --
-        consistent hashing remaps only the keys each new shard takes
-        over.  Shrink drains the newest shards first (graceful: in-flight
-        plans finish, the router answers 503+Retry-After for stragglers),
-        then removes them from the ring and stops the processes.
-        """
-        target = max(1, int(target))
-        with self._lock:
-            current = sorted(self._shards)
-            delta = target - len(current)
-            if delta == 0:
-                return len(current)
-            if delta > 0:
-                for _ in range(delta):
-                    sid = self._next_shard_id
-                    self._next_shard_id += 1
-                    self._shards[sid] = ShardProcess(sid)
-                    try:
-                        self._spawn(sid)
-                    except (RuntimeError, OSError) as exc:
-                        self._log(f"shard {sid} spawn failed: {exc}")
-                        self._shards.pop(sid, None)
-                        continue
-                    self.router.add_shard(sid, self.host, self._shards[sid].port)
-                    self._log(f"scaled up: shard {sid} joined the ring")
-                return len(self._shards)
-            victims = current[delta:]  # newest ids retire first
-        for sid in victims:
-            # Stop routing new work at it before draining, so the drain
-            # converges instead of racing fresh admissions.
-            try:
-                self.router.remove_shard(sid)
-            except KeyError:
-                pass
-            self.drain_shard(sid)
-            self.stop_shard(sid)
-            with self._lock:
-                self._shards.pop(sid, None)
-                self._stopped.discard(sid)
-            self._log(f"scaled down: shard {sid} drained and retired")
-        return self.shard_count
-
-    def autoscale_snapshot(self) -> ScaleSnapshot:
-        """Cluster-wide queueing state: the shard autoscaler's tick input.
-
-        Polls every live shard's ``stats`` op and sums queue depths and
-        admission backlogs; queue-wait p99 comes from merging the shards'
-        raw sample windows, so it equals what one shared histogram would
-        report.
-        """
-        with self._lock:
-            entries = sorted(self._shards.items())
-        queue_depth = 0
-        backlog_s = 0.0
-        waits = Histogram()
-        for sid, entry in entries:
-            if not entry.alive():
-                continue
-            reply = self._control(sid, {"op": "stats"}, timeout_s=5.0)
-            if not reply or reply.get("status") != 200:
-                continue
-            body = reply.get("body") or {}
-            queue_depth += int((body.get("gauges") or {}).get("queue_depth", 0))
-            admission = body.get("admission") or {}
-            backlog_s += float(admission.get("backlog_s", 0.0))
-            dump = (body.get("metrics_dump") or {}).get("histograms") or {}
-            if "queue_wait_s" in dump:
-                waits.merge(dump["queue_wait_s"])
-        return ScaleSnapshot(
-            workers=len(entries),
-            queue_depth=queue_depth,
-            # The policy sizes one-worker units; a shard carries
-            # ``self.workers`` of them, so express the backlog in
-            # shard-sized units before it is divided by the SLO.
-            backlog_s=backlog_s / max(1, self.workers),
-            queue_wait_p99_s=waits.percentile(99),
-        )
-
-    def start_autoscaler(
-        self, config: Optional[AutoscaleConfig] = None
-    ) -> Autoscaler:
-        """Run the shard-count advisory loop (``serve --cluster --autoscale``)."""
-        if self._autoscaler is None:
-            self._autoscaler = Autoscaler(
-                self.autoscale_snapshot,
-                self.scale_shards,
-                config=config,
-                unit="shards",
-            ).start()
-        return self._autoscaler
-
-    @property
-    def autoscaler(self) -> Optional[Autoscaler]:
-        return self._autoscaler
-
-    # ------------------------------------------------------------------
     # Supervision
     # ------------------------------------------------------------------
     def _supervise_loop(self) -> None:
         while not self._closing.is_set():
-            # Snapshot: scale_shards mutates the dict from other threads.
-            for sid, entry in list(self._shards.items()):
+            for sid, entry in self._shards.items():
                 if self._closing.is_set():
                     return
                 with self._lock:
@@ -450,16 +328,14 @@ class ClusterManager:
     def stop(self) -> None:
         """Stop the supervisor, every shard, then the router loop."""
         self._closing.set()
-        if self._autoscaler is not None:
-            self._autoscaler.stop()
         if self._supervisor is not None:
             self._supervisor.join(timeout=5.0)
-        for sid, entry in list(self._shards.items()):
+        for sid, entry in self._shards.items():
             with self._lock:
                 self._stopped.add(sid)
             if entry.alive():
                 self._control(sid, {"op": "stop"}, timeout_s=5.0)
-        for entry in list(self._shards.values()):
+        for entry in self._shards.values():
             if entry.proc is None:
                 continue
             try:

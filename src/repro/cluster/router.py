@@ -141,34 +141,6 @@ class ClusterRouter:
     def mark_up(self, shard_id: int) -> None:
         self.ring.mark_up(shard_id)
 
-    def add_shard(self, shard_id: int, host: str, port: int) -> None:
-        """Grow the ring with a freshly spawned shard (autoscale up).
-
-        Consistent hashing remaps only the keys the new shard takes
-        over; everything else keeps routing where its cache lives.
-        """
-        if shard_id in self._addresses:
-            raise KeyError(f"shard {shard_id} already routed")
-        self._addresses[shard_id] = ShardAddress(shard_id, host, port)
-        self.ring.add_shard(shard_id)
-
-    def remove_shard(self, shard_id: int) -> None:
-        """Drop a drained shard from the ring (autoscale down).
-
-        Lineage affinity pins pointing at the removed shard are
-        scrubbed: the chained digests would otherwise keep routing to a
-        shard that no longer exists.  Their lineages die with the shard
-        process anyway (shard-local state); completed plans survive in
-        the shared store, which any remaining shard can read.
-        """
-        if shard_id not in self._addresses:
-            raise KeyError(f"unknown shard {shard_id}")
-        self.ring.remove_shard(shard_id)
-        self._addresses.pop(shard_id, None)
-        stale = [d for d, sid in self._affinity.items() if sid == shard_id]
-        for digest in stale:
-            self._affinity.pop(digest, None)
-
     def shard_table(self) -> List[Dict[str, Any]]:
         return [
             {
@@ -203,9 +175,7 @@ class ClusterRouter:
         self, shard_id: int, message: Dict[str, Any]
     ) -> Optional[Dict[str, Any]]:
         """One frame to ``shard_id``; ``None`` marks it down."""
-        addr = self._addresses.get(shard_id)
-        if addr is None:  # removed by a concurrent scale-down
-            return None
+        addr = self._addresses[shard_id]
         try:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(addr.host, addr.port), timeout=5.0
@@ -377,9 +347,8 @@ class ClusterRouter:
             store.setdefault("store_dir", shard_store.get("store_dir"))
             lineages += int(body.get("lineages", 0))
             uptime = max(uptime, float(body.get("uptime_s", 0.0)))
-            addr = self._addresses.get(sid)
             row.update(
-                port=addr.port if addr is not None else None,
+                port=self._addresses[sid].port,
                 draining=bool(body.get("draining", False)),
                 counters=body.get("counters", {}),
                 lineages=int(body.get("lineages", 0)),

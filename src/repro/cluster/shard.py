@@ -39,7 +39,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster.ipc import FrameError, recv_frame, send_frame
 from repro.service import api
-from repro.service.admission import AdmissionController
 from repro.service.planner import PlanService
 from repro.service.store import PlanStore
 
@@ -205,21 +204,15 @@ def serve_shard(
     queue_depth: int = 16,
     timeout_s: float = 60.0,
     degraded_fallback: bool = True,
-    admission: bool = False,
     announce=print,
 ) -> int:
-    """Build the service, bind, announce the port, serve until stopped.
-
-    With ``admission`` the shard runs the tiered predictive admission
-    controller (docs/autoscaling.md) instead of plain FIFO + 429-on-full.
-    """
+    """Build the service, bind, announce the port, serve until stopped."""
     service = PlanService(
         store=PlanStore(store_dir),
         workers=workers,
         queue_depth=queue_depth,
         default_timeout_s=timeout_s,
         degraded_fallback=degraded_fallback,
-        admission=AdmissionController() if admission else None,
     )
     server = ShardServer(shard_id, service, host=host, port=port)
     announce(server.handshake_line())
@@ -250,11 +243,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--queue-depth", type=int, default=16)
     parser.add_argument("--timeout", type=float, default=60.0)
     parser.add_argument("--no-degraded-fallback", action="store_true")
-    parser.add_argument(
-        "--admission", action="store_true",
-        help="run the tiered predictive admission controller "
-        "(docs/autoscaling.md)",
-    )
     args = parser.parse_args(argv)
 
     def announce(line: str) -> None:
@@ -269,7 +257,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         queue_depth=args.queue_depth,
         timeout_s=args.timeout,
         degraded_fallback=not args.no_degraded_fallback,
-        admission=args.admission,
         announce=announce,
     )
 

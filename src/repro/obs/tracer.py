@@ -48,16 +48,12 @@ __all__ = [
     "use_tracer",
     "WALL",
     "SIM",
-    "POLICY",
 ]
 
-#: Canonical process names.  Anything else is allowed; these are what
-#: the built-in instrumentation uses.  ``"policy"`` carries the
-#: admission/autoscaling decision events (docs/autoscaling.md) so
-#: Perfetto renders scale events beside the queue-depth counter track.
+#: Canonical process names.  Anything else is allowed; these two are what
+#: the built-in instrumentation uses.
 WALL = "wall"
 SIM = "sim"
-POLICY = "policy"
 
 
 @dataclass(frozen=True)

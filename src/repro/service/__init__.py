@@ -16,32 +16,11 @@ a long-running *plan server*:
 - :mod:`repro.service.httpd` -- the stdlib HTTP front end
   (``POST /plan``, ``GET /plan/<digest>``, ``GET /healthz``,
   ``GET /stats``),
-- :mod:`repro.service.loadgen` -- a closed-loop load generator with
-  trace record / open-loop replay,
-- :mod:`repro.service.admission` -- tiered predictive admission: a
-  calibrated per-arch cost model, EDF queueing with per-tenant quotas,
-  and the shared decision log (docs/autoscaling.md),
-- :mod:`repro.service.autoscale` -- the SLO-aware worker/shard
-  autoscaler (one pure policy, live thread + virtual replay drivers),
-- :mod:`repro.service.replay` -- canonical-JSON request traces and the
-  deterministic virtual-time replay.
+- :mod:`repro.service.loadgen` -- a closed-loop load generator.
 
 ``hottiles serve`` and ``hottiles loadgen`` are the CLI entry points.
 """
 
-from repro.service.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    CostModel,
-    DecisionLog,
-    EDFQueue,
-)
-from repro.service.autoscale import (
-    AutoscaleConfig,
-    AutoscalePolicy,
-    Autoscaler,
-    ScaleSnapshot,
-)
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.service.planner import (
     AdmissionRejected,
@@ -51,12 +30,6 @@ from repro.service.planner import (
     ServiceClosed,
 )
 from repro.service.protocol import PlanRequest, PlanResult, ProtocolError
-from repro.service.replay import (
-    RequestTrace,
-    TraceRecorder,
-    burst_trace,
-    replay_trace,
-)
 from repro.service.store import PlanStore
 
 __all__ = [
@@ -73,17 +46,4 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "AdmissionConfig",
-    "AdmissionController",
-    "CostModel",
-    "DecisionLog",
-    "EDFQueue",
-    "AutoscaleConfig",
-    "AutoscalePolicy",
-    "Autoscaler",
-    "ScaleSnapshot",
-    "RequestTrace",
-    "TraceRecorder",
-    "burst_trace",
-    "replay_trace",
 ]

@@ -79,12 +79,6 @@ def plan_endpoint(service: PlanService, payload: Mapping[str, Any]) -> Reply:
         result, served = service.plan(request)
     except AdmissionRejected as exc:
         body = {"error": str(exc), "retry_after_s": exc.retry_after_s}
-        # Predictive sheds (docs/autoscaling.md) say *why* and for whom,
-        # so the loadgen's per-tier shed accounting works client-side.
-        if exc.tier is not None:
-            body["tier"] = exc.tier
-        if exc.reason is not None:
-            body["reason"] = exc.reason
         return 429, body, _retry_headers(exc.retry_after_s)
     except PlanTimeout as exc:
         return 504, {"error": str(exc), "digest": exc.digest}, {}

@@ -32,7 +32,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.faults.chaos import ChaosConfig
 from repro.service.metrics import Histogram
-from repro.service.replay import RequestTrace, TraceRecorder
 
 __all__ = [
     "default_request_payloads",
@@ -40,39 +39,23 @@ __all__ = [
     "LoadgenReport",
     "run_pass",
     "run_loadgen",
-    "replay_pass_live",
 ]
 
 
 def default_request_payloads(
-    plans: int,
-    scale: int = 9,
-    nnz: int = 6_000,
-    arch: str = "spade-sextans",
-    tenants: Optional[Sequence[str]] = None,
-    tiers: Optional[Sequence[str]] = None,
+    plans: int, scale: int = 9, nnz: int = 6_000, arch: str = "spade-sextans"
 ) -> List[Dict[str, Any]]:
-    """``plans`` distinct (by seed) small R-MAT plan requests.
-
-    ``tenants`` / ``tiers`` (optional) are assigned round-robin, so a
-    multi-tenant workload against the predictive admission controller
-    (docs/autoscaling.md) needs no hand-written payloads.
-    """
+    """``plans`` distinct (by seed) small R-MAT plan requests."""
     if plans < 1:
         raise ValueError("plans must be >= 1")
-    payloads: List[Dict[str, Any]] = []
-    for seed in range(plans):
-        payload: Dict[str, Any] = {
+    return [
+        {
             "arch": arch,
             "scale": 4,
             "generator": {"kind": "rmat", "scale": scale, "nnz": nnz, "seed": seed},
         }
-        if tenants:
-            payload["tenant"] = tenants[seed % len(tenants)]
-        if tiers:
-            payload["tier"] = tiers[seed % len(tiers)]
-        payloads.append(payload)
-    return payloads
+        for seed in range(plans)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -97,13 +80,6 @@ class LoadgenPass:
     transport_errors: int = 0  #: dropped connections (no HTTP status at all)
     chaos_injected: Dict[str, int] = field(default_factory=dict)  #: per fault kind
     chaos_absorbed: int = 0  #: injected requests that settled as expected
-    #: Open-loop replay only: 429 sheds are *answers* (the admission
-    #: controller doing its job), never retried and never failures.
-    shed_429: int = 0
-    shed_by_tier: Dict[str, int] = field(default_factory=dict)
-    #: A 429 without a Retry-After header violates the backpressure
-    #: contract -- the CI slo-smoke job asserts this stays 0.
-    shed_missing_retry_after: int = 0
 
     @property
     def throughput_rps(self) -> float:
@@ -134,14 +110,6 @@ class LoadgenPass:
             lines.append(
                 f"  chaos: {total} injected ({kinds}), "
                 f"{self.chaos_absorbed} absorbed as expected"
-            )
-        if self.shed_429:
-            tiers = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.shed_by_tier.items())
-            )
-            lines.append(
-                f"  shed: {self.shed_429} answered 429 ({tiers or '-'}), "
-                f"{self.shed_missing_retry_after} missing Retry-After"
             )
         if self.shard_latency:
             for shard in sorted(self.shard_latency, key=str):
@@ -179,9 +147,6 @@ class LoadgenPass:
             "store_hit_rate": self.store_hit_rate,
             "chaos_injected": dict(self.chaos_injected),
             "chaos_absorbed": self.chaos_absorbed,
-            "shed_429": self.shed_429,
-            "shed_by_tier": dict(sorted(self.shed_by_tier.items())),
-            "shed_missing_retry_after": self.shed_missing_retry_after,
             "errors": list(self.errors[:10]),
         }
 
@@ -292,15 +257,8 @@ def run_pass(
     max_retries: int = 64,
     request_timeout_s: float = 120.0,
     chaos: Optional[ChaosConfig] = None,
-    recorder: Optional[TraceRecorder] = None,
 ) -> LoadgenPass:
-    """One closed-loop pass of ``requests`` total requests.
-
-    With ``recorder`` (``loadgen --record FILE``), every completed
-    request is noted with its send offset, reply digest, and the
-    server-reported ``plan_wall_s`` -- the trace a later ``--replay``
-    (live or virtual) feeds back in (docs/autoscaling.md).
-    """
+    """One closed-loop pass of ``requests`` total requests."""
     if requests < 1 or concurrency < 1:
         raise ValueError("requests and concurrency must be >= 1")
     result = LoadgenPass(name=name, requests=requests)
@@ -371,14 +329,6 @@ def run_pass(
                            chaos_kind=kind)
                     break
                 if status == 200:
-                    if recorder is not None:
-                        plan = body.get("plan") or {}
-                        recorder.note(
-                            payload,
-                            digest=str(plan.get("digest", "")),
-                            cost_s=float(plan.get("plan_wall_s", 0.05) or 0.05),
-                            sent_at=start,
-                        )
                     record(
                         "ok",
                         time.monotonic() - start,
@@ -418,129 +368,12 @@ def run_pass(
         threading.Thread(target=client, name=f"loadgen-{i}", daemon=True)
         for i in range(concurrency)
     ]
-    if recorder is not None:
-        recorder.start()  # epoch = pass start, so arrival offsets are real
     start = time.monotonic()
     for t in threads:
         t.start()
     for t in threads:
         t.join()
     result.wall_s = time.monotonic() - start
-    after = fetch_stats(base_url)
-
-    def store_counter(stats: Dict[str, Any], key: str) -> int:
-        return int(stats.get("store", {}).get(key, 0))
-
-    hits = store_counter(after, "session_hits") - store_counter(before, "session_hits")
-    misses = (
-        store_counter(after, "session_misses") - store_counter(before, "session_misses")
-    )
-    result.store_hits_delta = hits
-    result.store_gets_delta = hits + misses
-    return result
-
-
-def replay_pass_live(
-    base_url: str,
-    trace: RequestTrace,
-    warp: float = 1.0,
-    name: str = "replay",
-    request_timeout_s: float = 120.0,
-    concurrency: int = 32,
-) -> LoadgenPass:
-    """Open-loop live replay: fire the trace's arrivals at a real server.
-
-    Unlike the closed loop, arrivals are scheduled at the *recorded*
-    offsets (divided by ``warp`` -- ``warp=2`` replays twice as fast),
-    regardless of how fast the server answers: that is what reproduces
-    the recorded overload and exercises the admission controller.  A
-    ``429`` here is the controller shedding as designed, so it is counted
-    as an answered shed (per tier, from the reply body) and never
-    retried; only transport errors and unexpected statuses fail.  The CI
-    slo-smoke job asserts ``transport_errors == 0`` and
-    ``shed_missing_retry_after == 0`` (docs/autoscaling.md).
-    """
-    if warp <= 0:
-        raise ValueError("warp must be positive")
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
-    result = LoadgenPass(name=name, requests=len(trace.requests))
-    lock = threading.Lock()
-    url = f"{base_url}/plan"
-    sem = threading.Semaphore(concurrency)
-
-    def fire(req: Any) -> None:
-        payload = dict(req.payload or {})
-        if not payload:
-            # A trace without payloads (e.g. cost-only synthetic) still
-            # exercises admission with a minimal plan request.
-            payload = {
-                "arch": "spade-sextans",
-                "scale": 4,
-                "generator": {"kind": "rmat", "scale": 9,
-                              "nnz": req.nnz or 6000, "seed": 0},
-                "tenant": req.tenant,
-                "tier": req.tier,
-                "deadline_s": req.deadline_s,
-            }
-        start = time.monotonic()
-        try:
-            try:
-                status, body, headers = _http_json(
-                    url, payload, timeout_s=request_timeout_s
-                )
-            except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                with lock:
-                    result.failed += 1
-                    result.transport_errors += 1
-                    if len(result.errors) < 32:
-                        result.errors.append(f"transport: {exc}")
-                return
-            elapsed = time.monotonic() - start
-            with lock:
-                if status == 200:
-                    result.completed += 1
-                    result.latency.observe(elapsed)
-                    served = body.get("served")
-                    if served:
-                        result.served[served] = result.served.get(served, 0) + 1
-                    shard = headers.get("X-Hottiles-Shard")
-                    if shard is not None:
-                        result.shard_latency.setdefault(
-                            shard, Histogram()
-                        ).observe(elapsed)
-                elif status == 429:
-                    result.shed_429 += 1
-                    tier = str(body.get("tier") or req.tier)
-                    result.shed_by_tier[tier] = (
-                        result.shed_by_tier.get(tier, 0) + 1
-                    )
-                    if not headers.get("Retry-After"):
-                        result.shed_missing_retry_after += 1
-                else:
-                    result.failed += 1
-                    if len(result.errors) < 32:
-                        result.errors.append(
-                            f"HTTP {status}: {body.get('error', body)}"
-                        )
-        finally:
-            sem.release()
-
-    before = fetch_stats(base_url)
-    epoch = time.monotonic()
-    threads: List[threading.Thread] = []
-    for req in trace.requests:
-        due = epoch + req.arrival_s / warp
-        delay = due - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        sem.acquire()  # bound the number of in-flight requests
-        t = threading.Thread(target=fire, args=(req,), daemon=True)
-        t.start()
-        threads.append(t)
-    for t in threads:
-        t.join(timeout=request_timeout_s + 5.0)
-    result.wall_s = time.monotonic() - epoch
     after = fetch_stats(base_url)
 
     def store_counter(stats: Dict[str, Any], key: str) -> int:
@@ -563,18 +396,13 @@ def run_loadgen(
     passes: int = 2,
     max_retries: int = 64,
     chaos: Optional[ChaosConfig] = None,
-    recorder: Optional[TraceRecorder] = None,
-    tenants: Optional[Sequence[str]] = None,
-    tiers: Optional[Sequence[str]] = None,
 ) -> LoadgenReport:
     """The standard cold-then-warm workload against a running server.
 
     With ``chaos``, every pass shares the one seeded config, so the
-    whole run's injection sequence is reproducible from its seed.  With
-    ``recorder``, all passes record into one trace (arrival offsets keep
-    running across passes).
+    whole run's injection sequence is reproducible from its seed.
     """
-    payloads = default_request_payloads(plans, tenants=tenants, tiers=tiers)
+    payloads = default_request_payloads(plans)
     names = ["cold"] + [f"warm{i if passes > 2 else ''}" for i in range(1, passes)]
     results = [
         run_pass(
@@ -585,7 +413,6 @@ def run_loadgen(
             name=names[i],
             max_retries=max_retries,
             chaos=chaos,
-            recorder=recorder,
         )
         for i in range(passes)
     ]

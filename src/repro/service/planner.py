@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import queue
 import threading
 import time
 from typing import Any, Deque, Dict, Mapping, Optional, Tuple, Union
@@ -59,15 +60,6 @@ from typing import Any, Deque, Dict, Mapping, Optional, Tuple, Union
 from repro.faults.errors import StructuredError, is_retryable
 from repro.faults.retry import RetryPolicy
 from repro.obs.tracer import get_tracer
-from repro.service.admission import (
-    DEFAULT_TENANT,
-    DEFAULT_TIER,
-    AdmissionController,
-    EDFQueue,
-    QueueFull,
-    TenantQuotaExceeded,
-)
-from repro.service.autoscale import Autoscaler, ScaleSnapshot
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import PlanRequest, PlanResult
 from repro.service.store import PlanStore
@@ -84,25 +76,11 @@ __all__ = [
 
 
 class AdmissionRejected(RuntimeError):
-    """The request was shed: queue full, tenant over quota, or the
-    admission policy's pressure action for its tier.  Retry after
-    ``retry_after_s``; ``tier``/``reason`` say which policy path shed it
-    (``None`` on the plain queue-full path)."""
+    """The admission queue is full; retry after ``retry_after_s``."""
 
-    def __init__(
-        self,
-        retry_after_s: float,
-        tier: Optional[str] = None,
-        reason: Optional[str] = None,
-    ) -> None:
-        super().__init__(
-            f"admission queue full, retry after {retry_after_s:.3f}s"
-            if reason is None
-            else f"request shed ({reason}), retry after {retry_after_s:.3f}s"
-        )
+    def __init__(self, retry_after_s: float) -> None:
+        super().__init__(f"admission queue full, retry after {retry_after_s:.3f}s")
         self.retry_after_s = retry_after_s
-        self.tier = tier
-        self.reason = reason
 
 
 class PlanTimeout(TimeoutError):
@@ -138,7 +116,7 @@ class _Inflight:
     """One shared computation that any number of requests wait on."""
 
     __slots__ = ("digest", "request", "event", "result", "error", "waiters",
-                 "started", "cancelled", "enqueued_at", "predicted_cost_s")
+                 "started", "cancelled", "enqueued_at")
 
     def __init__(self, digest: str, request: PlanRequest) -> None:
         self.digest = digest
@@ -150,11 +128,9 @@ class _Inflight:
         self.started = False
         self.cancelled = False
         self.enqueued_at = time.monotonic()
-        self.predicted_cost_s = 0.0
 
 
 _SENTINEL = object()  #: shutdown: the receiving worker exits (close())
-_RETIRE = object()  #: scale-down: the receiving worker exits (set_workers())
 
 
 class PlanService:
@@ -172,7 +148,6 @@ class PlanService:
         error_ring: int = 16,
         track_lineage: bool = True,
         max_lineages: int = 64,
-        admission: Optional[AdmissionController] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -191,15 +166,7 @@ class PlanService:
         self._retry_rng = self.retry.rng()
         self._errors: Deque[Dict[str, Any]] = collections.deque(maxlen=error_ring)
 
-        # With an AdmissionController the queue orders by deadline and
-        # enforces per-tenant quotas; without one every deadline is 0, so
-        # EDF degrades to exactly the FIFO the stdlib queue provided.
-        self._admission = admission
-        quota_fraction = (
-            admission.config.tenant_quota_fraction if admission is not None else 1.0
-        )
-        self._queue = EDFQueue(queue_depth, quota_fraction)
-        self._autoscaler: Optional[Autoscaler] = None
+        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_depth)
         self._inflight: Dict[str, _Inflight] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -226,19 +193,13 @@ class PlanService:
         self._retried = m.counter("plans_retried")
         self._deltas_applied = m.counter("deltas_applied")
         self._tiles_repaired = m.counter("tiles_repaired")
-        self._adm_shed = m.counter("admission_shed")
-        self._adm_degraded = m.counter("admission_degraded")
-        self._adm_uncalibrated = m.counter("admission_uncalibrated")
         self._queue_gauge = m.gauge("queue_depth")
         self._inflight_gauge = m.gauge("plans_in_flight")
-        self._workers_gauge = m.gauge("workers")
-        self._workers_gauge.set(self.workers)
         self._latency = m.histogram("request_latency_s")
         self._plan_wall = m.histogram("plan_wall_s")
         self._queue_wait = m.histogram("queue_wait_s")
         self._delta_wall = m.histogram("delta_apply_s")
 
-        self._worker_seq = self.workers
         self._threads = [
             threading.Thread(
                 target=self._worker_loop, name=f"plan-worker-{i}", daemon=True
@@ -316,28 +277,10 @@ class PlanService:
             return cached, "store"
 
         entry, primary = self._join_or_register(digest, request)
-        if primary:
-            if self._closed:  # close() raced us between register and enqueue
-                with self._lock:
-                    self._inflight.pop(digest, None)
-                raise ServiceClosed("service is shutting down")
-            if self._admission is not None:
-                outcome = self._admit_predictive(
-                    entry, request, digest, start, tracer
-                )
-                if outcome is not None:
-                    return outcome
-            else:
-                try:
-                    self._queue.put_nowait(entry)
-                except QueueFull:
-                    with self._lock:
-                        self._inflight.pop(digest, None)
-                    self._rejected.inc()
-                    raise AdmissionRejected(self.retry_after_hint()) from None
-            self._queue_gauge.set(self._queue.qsize())
         self._accepted.inc()
-        if not primary:
+        if primary:
+            self._queue_gauge.set(self._queue.qsize())
+        else:
             self._coalesced.inc()
 
         served = "computed" if primary else "coalesced"
@@ -467,6 +410,14 @@ class PlanService:
     def _join_or_register(
         self, digest: str, request: PlanRequest
     ) -> Tuple[_Inflight, bool]:
+        """Join the computation in flight for ``digest``, or enqueue one.
+
+        Returns ``(entry, primary)``; ``primary`` is true when this call
+        enqueued a new computation.  The enqueue happens under the lock
+        :meth:`begin_close` takes, so a plan admitted here is always
+        queued ahead of the shutdown sentinels :meth:`close` puts after
+        it, and a worker computes it before exiting.
+        """
         with self._lock:
             if self._closed:
                 raise ServiceClosed("service is shutting down")
@@ -475,91 +426,13 @@ class PlanService:
                 entry.waiters += 1
                 return entry, False
             entry = _Inflight(digest, request)
+            try:
+                self._queue.put_nowait(entry)
+            except queue.Full:
+                self._rejected.inc()
+                raise AdmissionRejected(self.retry_after_hint()) from None
             self._inflight[digest] = entry
             return entry, True
-
-    def _admit_predictive(
-        self,
-        entry: _Inflight,
-        request: PlanRequest,
-        digest: str,
-        start: float,
-        tracer: Any,
-    ) -> Optional[Tuple[PlanResult, str]]:
-        """Run the predictive admission policy for one primary request.
-
-        Returns ``None`` when the request was enqueued (the caller then
-        waits on the shared computation as usual), or ``(result,
-        "degraded")`` when the policy degraded it to a roofline-only
-        answer.  Sheds -- by tier policy, queue capacity, or tenant
-        quota -- raise :class:`AdmissionRejected` (HTTP 429 +
-        Retry-After, docs/autoscaling.md).
-        """
-        admission = self._admission
-        assert admission is not None
-        tenant = request.tenant if request.tenant is not None else DEFAULT_TENANT
-        tier = request.tier if request.tier is not None else DEFAULT_TIER
-        estimate = admission.cost_model.predict(
-            request.arch, nnz=self._nnz_hint(request), digest=digest
-        )
-        if not estimate.calibrated:
-            self._adm_uncalibrated.inc()
-        decision = admission.decide(
-            tenant, tier, estimate,
-            workers=self.workers, queue_depth=self._queue.qsize(),
-        )
-        if decision.action == "degrade":
-            fallback = self._degraded_plan(request, digest, tracer)
-            if fallback is not None:
-                with self._lock:
-                    self._inflight.pop(digest, None)
-                self._accepted.inc()
-                self._degraded.inc()
-                self._adm_degraded.inc()
-                self._latency.observe(time.monotonic() - start)
-                return fallback, "degraded"
-            # The cheap answer failed; fall through and admit normally.
-        elif decision.action == "shed":
-            with self._lock:
-                self._inflight.pop(digest, None)
-            self._rejected.inc()
-            self._adm_shed.inc()
-            raise AdmissionRejected(
-                self.retry_after_hint(), tier=tier, reason=decision.reason
-            )
-        deadline_rel = (
-            request.deadline_s
-            if request.deadline_s is not None
-            else admission.config.deadline_for(tier)
-        )
-        entry.predicted_cost_s = estimate.cost_s
-        try:
-            self._queue.put_nowait(
-                entry, deadline=start + deadline_rel, tenant=tenant
-            )
-        except (QueueFull, TenantQuotaExceeded) as exc:
-            with self._lock:
-                self._inflight.pop(digest, None)
-            reason = (
-                "tenant_quota" if isinstance(exc, TenantQuotaExceeded)
-                else "queue_full"
-            )
-            admission.shed(decision, reason)
-            self._rejected.inc()
-            self._adm_shed.inc()
-            raise AdmissionRejected(
-                self.retry_after_hint(), tier=tier, reason=reason
-            ) from None
-        admission.enqueued(decision)
-        return None
-
-    @staticmethod
-    def _nnz_hint(request: PlanRequest) -> Optional[int]:
-        """A cheap nnz estimate for the cost model, without resolving."""
-        gen = request.generator
-        if gen is not None and gen.get("nnz") is not None:
-            return int(gen["nnz"])
-        return None
 
     def retry_after_hint(self) -> float:
         """Advisory client backoff: about one plan's worth of queue motion."""
@@ -642,17 +515,16 @@ class PlanService:
     def _worker_loop(self) -> None:
         while True:
             item = self._queue.get()
-            if item is _SENTINEL or item is _RETIRE:
+            if item is _SENTINEL:
                 return
             tracer = get_tracer()
             self._queue_gauge.set(self._queue.qsize())
-            if self._admission is not None:
-                # The item left the queue (run or cancel): its predicted
-                # cost no longer counts toward the admission backlog.
-                self._admission.started(item.predicted_cost_s)
             with self._lock:
                 if item.cancelled or self._discard:
-                    self._inflight.pop(item.digest, None)
+                    # A request may already have registered a replacement
+                    # for this digest; deregister only this entry.
+                    if self._inflight.get(item.digest) is item:
+                        del self._inflight[item.digest]
                     item.error = StructuredError(
                         type="Cancelled",
                         message="cancelled before execution",
@@ -694,13 +566,6 @@ class PlanService:
                 self._inflight_gauge.dec()
                 self._computed.inc()
                 self._plan_wall.observe(wall)
-                if self._admission is not None and item.result is not None:
-                    # Calibrate: the observed wall feeds the per-arch fit
-                    # and the per-digest memo future predictions use.
-                    self._admission.cost_model.observe(
-                        item.request.arch, wall,
-                        nnz=self._nnz_hint(item.request), digest=item.digest,
-                    )
 
     def _compute_with_retry(self, item: _Inflight) -> PlanResult:
         """Run one computation under the bounded-backoff retry policy.
@@ -793,73 +658,6 @@ class PlanService:
         return result
 
     # ------------------------------------------------------------------
-    # Worker-pool scaling (docs/autoscaling.md)
-    # ------------------------------------------------------------------
-    def set_workers(self, n: int) -> int:
-        """Grow or shrink the worker pool to ``n`` threads; returns it.
-
-        Growth starts new threads immediately.  Shrink enqueues retire
-        controls, which the queue delivers only once no items remain --
-        so a scale-down only ever removes an *idle* worker and never
-        abandons admitted work.  No-op once the service is closing.
-        """
-        n = int(n)
-        if n < 1:
-            raise ValueError("workers must be >= 1")
-        with self._lock:
-            if self._closed or self._shutdown_started:
-                return self.workers
-            delta = n - self.workers
-            if delta == 0:
-                return self.workers
-            self.workers = n
-            self._workers_gauge.set(n)
-            if delta > 0:
-                self._threads = [t for t in self._threads if t.is_alive()]
-                for _ in range(delta):
-                    thread = threading.Thread(
-                        target=self._worker_loop,
-                        name=f"plan-worker-{self._worker_seq}",
-                        daemon=True,
-                    )
-                    self._worker_seq += 1
-                    self._threads.append(thread)
-                    thread.start()
-            else:
-                for _ in range(-delta):
-                    self._queue.put_control(_RETIRE)
-            return self.workers
-
-    def autoscale_snapshot(self) -> ScaleSnapshot:
-        """What the autoscaler's tick observes (docs/autoscaling.md)."""
-        if self._admission is not None:
-            backlog = self._admission.backlog_s
-        else:
-            # No cost model: estimate the backlog from queue depth times
-            # a typical plan wall (the same prior admission would use).
-            p50 = self._plan_wall.percentile(50)
-            backlog = self._queue.qsize() * (p50 if p50 > 0 else 0.05)
-        return ScaleSnapshot(
-            workers=self.workers,
-            queue_depth=self._queue.qsize(),
-            backlog_s=backlog,
-            queue_wait_p99_s=self._queue_wait.percentile(99),
-        )
-
-    def attach_autoscaler(self, autoscaler: Autoscaler) -> Autoscaler:
-        """Adopt ``autoscaler``: surface it in ``/stats``, stop it on close."""
-        self._autoscaler = autoscaler
-        return autoscaler
-
-    @property
-    def admission(self) -> Optional[AdmissionController]:
-        return self._admission
-
-    @property
-    def autoscaler(self) -> Optional[Autoscaler]:
-        return self._autoscaler
-
-    # ------------------------------------------------------------------
     # Introspection and shutdown
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
@@ -875,10 +673,6 @@ class PlanService:
             "degraded_fallback": self.degraded_fallback,
             "retry_max_attempts": self.retry.max_attempts,
         }
-        if self._admission is not None:
-            snapshot["admission"] = self._admission.stats()
-        if self._autoscaler is not None:
-            snapshot["autoscale"] = self._autoscaler.stats()
         with self._lock:
             snapshot["last_errors"] = list(self._errors)
         snapshot["closed"] = self._closed
@@ -918,10 +712,10 @@ class PlanService:
             if self._shutdown_started:
                 return
             self._shutdown_started = True
-        if self._autoscaler is not None:
-            self._autoscaler.stop()
+        # Plans are enqueued only under the lock while _closed is unset,
+        # so every admitted plan is already queued ahead of these.
         for _ in self._threads:
-            self._queue.put_control(_SENTINEL)
+            self._queue.put(_SENTINEL)
         for thread in self._threads:
             thread.join()
         # Let in-flight deltas (HTTP handler threads, not workers) finish

@@ -40,13 +40,8 @@ GENERATOR_KINDS: Dict[str, Tuple[str, ...]] = {
 }
 
 _REQUEST_KEYS = {
-    "matrix", "matrix_path", "generator", "arch", "scale",
-    "timeout_s", "tenant", "tier", "deadline_s",
+    "matrix", "matrix_path", "generator", "arch", "scale", "timeout_s",
 }
-
-#: Policy tiers (docs/autoscaling.md); kept in sync with
-#: :data:`repro.service.admission.TIERS` by a regression test.
-_TIERS = ("gold", "silver", "bronze")
 
 
 @dataclass(frozen=True)
@@ -64,9 +59,6 @@ class PlanRequest:
     matrix_path: Optional[str] = None
     generator: Optional[Dict[str, Any]] = None
     timeout_s: Optional[float] = None  #: per-request wait bound (None = server default)
-    tenant: Optional[str] = None  #: quota/accounting identity (None = shared default)
-    tier: Optional[str] = None  #: policy tier: gold | silver | bronze
-    deadline_s: Optional[float] = None  #: relative EDF deadline (None = tier default)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -84,9 +76,6 @@ class PlanRequest:
             matrix_path=payload.get("matrix_path"),
             generator=payload.get("generator"),
             timeout_s=payload.get("timeout_s"),
-            tenant=payload.get("tenant"),
-            tier=payload.get("tier"),
-            deadline_s=payload.get("deadline_s"),
         )
         request.validate()
         return request
@@ -108,20 +97,6 @@ class PlanRequest:
             or self.timeout_s <= 0
         ):
             raise ProtocolError("timeout_s must be a positive number")
-        if self.tenant is not None and (
-            not isinstance(self.tenant, str) or not self.tenant
-        ):
-            raise ProtocolError("tenant must be a non-empty string")
-        if self.tier is not None and self.tier not in _TIERS:
-            raise ProtocolError(
-                f"unknown tier {self.tier!r} (known: {', '.join(_TIERS)})"
-            )
-        if self.deadline_s is not None and (
-            not isinstance(self.deadline_s, (int, float))
-            or isinstance(self.deadline_s, bool)
-            or self.deadline_s <= 0
-        ):
-            raise ProtocolError("deadline_s must be a positive number")
         specs = [
             s for s in (self.matrix, self.matrix_path, self.generator) if s is not None
         ]
@@ -167,11 +142,8 @@ class PlanRequest:
         ``scale`` does not split it), and the matrix *content* token: the
         short name or generator spec for deterministic sources, and a
         SHA-256 of the file bytes for ``matrix_path`` (so editing the file
-        changes the digest even if the path does not).  ``timeout_s``,
-        ``tenant``, ``tier``, and ``deadline_s`` are deliberately excluded
-        -- they shape the wait and the scheduling, not the plan, so two
-        tenants asking for the same matrix still coalesce onto one
-        computation.
+        changes the digest even if the path does not).  ``timeout_s`` is
+        deliberately excluded -- it shapes the wait, not the plan.
         """
         from repro.arch.configs import factory_args
         from repro.experiments.cache import code_version, stable_digest

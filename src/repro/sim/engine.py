@@ -33,7 +33,6 @@ from repro.faults.schedule import (
     FaultSchedule,
     FaultSummary,
     WorkerFailure,
-    WorkerSlowdown,
 )
 from repro.obs.tracer import SIM, Tracer, get_tracer
 from repro.sim.memory import RateAllocator

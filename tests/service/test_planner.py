@@ -1,5 +1,6 @@
 """PlanService tests: coalescing, backpressure, timeout, drain."""
 
+import sys
 import threading
 import time
 
@@ -27,6 +28,47 @@ def service(tmp_path):
     svc = PlanService(store=PlanStore(tmp_path / "plans"), workers=2, queue_depth=8)
     yield svc
     svc.close()
+
+
+def hold_worker(svc, seed=99):
+    """Block ``svc``'s compute on a gate and occupy one worker with it.
+
+    Returns ``(gate, thread)``: set the gate to let computes finish.
+    """
+    gate = threading.Event()
+    real = svc._compute
+    svc._compute = lambda request, digest: (gate.wait(10.0), real(request, digest))[1]
+    thread = threading.Thread(
+        target=svc.plan, args=(rmat_request(seed=seed),), kwargs={"timeout_s": 30.0}
+    )
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while svc.metrics.gauge("plans_in_flight").value < 1:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    return gate, thread
+
+
+def wait_for_queue(svc, size):
+    deadline = time.monotonic() + 5.0
+    while svc._queue.qsize() < size:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("kwargs", [{"workers": 0}, {"queue_depth": 0}])
+    def test_rejects_empty_pool_or_queue(self, tmp_path, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            PlanService(store=PlanStore(tmp_path / "p"), **kwargs)
+
+    @pytest.mark.parametrize(
+        "walls, hint", [([], 0.1), ([0.001], 0.05), ([0.5], 0.5), ([60.0], 5.0)]
+    )
+    def test_retry_after_hint_tracks_median_plan_wall(self, service, walls, hint):
+        for wall in walls:
+            service._plan_wall.observe(wall)
+        assert service.retry_after_hint() == pytest.approx(hint)
 
 
 class TestHappyPath:
@@ -126,6 +168,71 @@ class TestBackpressure:
         svc.close()
 
 
+    def test_store_hit_is_served_while_the_queue_is_full(self, tmp_path):
+        svc = PlanService(store=PlanStore(tmp_path / "p"), workers=1, queue_depth=1)
+        stored, _ = svc.plan(rmat_request(seed=0))
+        gate, blocker = hold_worker(svc, seed=1)
+        queued = threading.Thread(
+            target=svc.plan, args=(rmat_request(seed=2),), kwargs={"timeout_s": 30.0}
+        )
+        queued.start()
+        wait_for_queue(svc, 1)
+        with pytest.raises(AdmissionRejected):
+            svc.plan(rmat_request(seed=3))
+        result, served = svc.plan(rmat_request(seed=0))
+        assert served == "store"
+        assert result == stored
+        gate.set()
+        blocker.join()
+        queued.join()
+        svc.close()
+
+
+class TestQueueOrder:
+    def test_queued_plans_run_in_arrival_order(self, tmp_path):
+        svc = PlanService(store=PlanStore(tmp_path / "p"), workers=1, queue_depth=8)
+        gate = threading.Event()
+        started = []
+        real = svc._compute
+
+        def gated_compute(request, digest):
+            started.append(request.generator["seed"])
+            gate.wait(10.0)
+            return real(request, digest)
+
+        svc._compute = gated_compute
+        threads = []
+
+        def submit(seed):
+            thread = threading.Thread(
+                target=svc.plan, args=(rmat_request(seed=seed),),
+                kwargs={"timeout_s": 30.0},
+            )
+            thread.start()
+            threads.append(thread)
+
+        # Hold the only worker on the first plan, then queue the rest one
+        # at a time so their arrival order is known.
+        submit(0)
+        deadline = time.monotonic() + 5.0
+        while svc.metrics.gauge("plans_in_flight").value < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        arrivals = [3, 1, 4, 2]
+        deadline = time.monotonic() + 5.0
+        for queued, seed in enumerate(arrivals, start=1):
+            submit(seed)
+            while svc._queue.qsize() < queued:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        gate.set()
+        for thread in threads:
+            thread.join()
+        svc.close()
+        assert started == [0] + arrivals
+        assert svc.metrics.counter("plans_computed").value == 5
+
+
 class TestTimeoutAndCancellation:
     def test_timeout_raises_and_counts(self, tmp_path):
         svc = PlanService(store=PlanStore(tmp_path / "p"), workers=1, queue_depth=4)
@@ -151,6 +258,81 @@ class TestTimeoutAndCancellation:
         assert counters["plans_cancelled"] == 1
         # The cancelled plan never executed.
         assert counters["plans_computed"] == 1
+
+    @pytest.mark.parametrize(
+        "service_bound, request_bound, call_bound",
+        [(0.05, None, None), (60.0, 0.05, None), (60.0, 30.0, 0.05)],
+        ids=["service-default", "request-field", "call-argument"],
+    )
+    def test_wait_bound_precedence(self, tmp_path, service_bound, request_bound,
+                                   call_bound):
+        # The call argument beats the request's timeout_s, which beats
+        # the service default; each case waits 0.05 s, not the others.
+        svc = PlanService(store=PlanStore(tmp_path / "p"), workers=1,
+                          default_timeout_s=service_bound)
+        gate, blocker = hold_worker(svc)
+        overrides = {} if request_bound is None else {"timeout_s": request_bound}
+        with pytest.raises(PlanTimeout, match=r"within 0\.050s"):
+            svc.plan(rmat_request(seed=1, **overrides), timeout_s=call_bound)
+        gate.set()
+        blocker.join()
+        svc.close()
+
+    def test_cancelled_entry_keeps_its_replacement_registered(self, tmp_path):
+        # A queued plan abandoned by its waiter is re-requested before a
+        # worker discards it.  Discarding the stale entry must leave the
+        # replacement in the in-flight map, so a third request joins it
+        # instead of computing the same plan again.
+        svc = PlanService(store=PlanStore(tmp_path / "p"), workers=1, queue_depth=8)
+        gates = {1: threading.Event(), 2: threading.Event()}
+        started = []
+        real = svc._compute
+
+        def gated_compute(request, digest):
+            seed = request.generator["seed"]
+            started.append(seed)
+            gates[seed].wait(10.0)
+            return real(request, digest)
+
+        svc._compute = gated_compute
+        blocker = threading.Thread(
+            target=svc.plan, args=(rmat_request(seed=1),), kwargs={"timeout_s": 30.0}
+        )
+        blocker.start()
+        deadline = time.monotonic() + 5.0
+        while started != [1]:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with pytest.raises(PlanTimeout):
+            svc.plan(rmat_request(seed=2), timeout_s=0.05)
+        outcomes = []
+
+        def request_seed_2():
+            outcomes.append(svc.plan(rmat_request(seed=2), timeout_s=30.0)[1])
+
+        replacement = threading.Thread(target=request_seed_2)
+        replacement.start()
+        wait_for_queue(svc, 2)
+        gates[1].set()
+        deadline = time.monotonic() + 5.0
+        while started != [1, 2]:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        joiner = threading.Thread(target=request_seed_2)
+        joiner.start()
+        deadline = time.monotonic() + 5.0
+        while svc.metrics.counter("requests_accepted").value < 4:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        gates[2].set()
+        for thread in (blocker, replacement, joiner):
+            thread.join(10.0)
+        svc.close()
+        assert started == [1, 2]
+        assert sorted(outcomes) == ["coalesced", "computed"]
+        counters = svc.metrics.snapshot()["counters"]
+        assert counters["plans_cancelled"] == 1
+        assert counters["plans_computed"] == 2
 
     def test_failure_surfaces_error_text(self, service):
         # Digests fine, but the generator rejects it at compute time:
@@ -194,6 +376,103 @@ class TestShutdown:
             t.join()
         # Every admitted request completed; none were abandoned.
         assert len(results) == 3
+        counters = svc.metrics.snapshot()["counters"]
+        assert counters["requests_completed"] == counters["requests_accepted"]
+
+    def test_close_without_drain_cancels_queued_plans(self, tmp_path):
+        svc = PlanService(store=PlanStore(tmp_path / "p"), workers=1, queue_depth=8)
+        gate, blocker = hold_worker(svc, seed=1)
+        errors = []
+
+        def queued_call():
+            try:
+                svc.plan(rmat_request(seed=2), timeout_s=30.0)
+            except PlanFailed as exc:
+                errors.append(exc.error)
+
+        queued = threading.Thread(target=queued_call)
+        queued.start()
+        wait_for_queue(svc, 1)
+        closer = threading.Thread(target=svc.close, kwargs={"drain": False})
+        closer.start()
+        deadline = time.monotonic() + 5.0
+        while not svc.closed:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        # The started plan still finishes; the queued one never runs.
+        gate.set()
+        for thread in (blocker, queued, closer):
+            thread.join(10.0)
+        assert [error.type for error in errors] == ["Cancelled"]
+        counters = svc.metrics.snapshot()["counters"]
+        assert counters["plans_computed"] == 1
+        assert counters["plans_cancelled"] == 1
+        assert counters["requests_completed"] == 1
+        assert counters["requests_failed"] == 1
+
+    def test_close_racing_enqueue_still_computes_admitted_plan(self, tmp_path):
+        # close() starts while a new plan is being enqueued.  The plan
+        # was admitted, so it must be queued ahead of the shutdown
+        # sentinels and computed, not left in a queue no worker reads.
+        svc = PlanService(store=PlanStore(tmp_path / "p"), workers=1, queue_depth=4)
+        real_put = svc._queue.put_nowait
+        closers = []
+
+        def put_racing_close(item, *args, **kwargs):
+            closer = threading.Thread(target=svc.close, kwargs={"drain": True})
+            closer.start()
+            closers.append(closer)
+            closer.join(0.5)
+            return real_put(item, *args, **kwargs)
+
+        svc._queue.put_nowait = put_racing_close
+        try:
+            result, served = svc.plan(rmat_request(), timeout_s=3.0)
+        finally:
+            for closer in closers:
+                closer.join(10.0)
+        assert served == "computed"
+        assert result.digest == rmat_request().digest()
+        assert svc.closed
+
+    def test_close_under_concurrent_submissions_answers_every_request(self, tmp_path):
+        # Clients keep submitting new plans while close() drains: every
+        # request is computed or refused, and none waits out its bound.
+        svc = PlanService(store=PlanStore(tmp_path / "p"), workers=4, queue_depth=64)
+        svc._compute = lambda request, digest: digest
+        outcomes = []
+        lock = threading.Lock()
+
+        def client(first_seed):
+            for seed in range(first_seed, first_seed + 10_000):
+                try:
+                    _, served = svc.plan(rmat_request(seed=seed), timeout_s=5.0)
+                except ServiceClosed:
+                    served = "closed"
+                except PlanTimeout:
+                    served = "timeout"
+                with lock:
+                    outcomes.append(served)
+                if served == "closed":
+                    return
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [
+                threading.Thread(target=client, args=(k * 10_000,)) for k in range(8)
+            ]
+            for thread in clients:
+                thread.start()
+            time.sleep(0.2)
+            svc.close(drain=True)
+            for thread in clients:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert "timeout" not in outcomes
+        assert outcomes.count("closed") == len(clients)
         counters = svc.metrics.snapshot()["counters"]
         assert counters["requests_completed"] == counters["requests_accepted"]
 

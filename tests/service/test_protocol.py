@@ -24,10 +24,18 @@ class TestRequestValidation:
             PlanRequest.from_dict([1, 2])
 
     def test_rejects_unknown_field(self):
-        # A removed field (cache_aware) is rejected like any other, not ignored.
-        for field in ({"bogus": 1}, {"cache_aware": False}):
-            with pytest.raises(ProtocolError, match="unknown request field"):
+        # Removed fields (cache_aware, tenant, tier, deadline_s) are
+        # rejected like any other, not ignored.
+        for field in (
+            {"bogus": 1},
+            {"cache_aware": False},
+            {"tenant": "t0"},
+            {"tier": "gold"},
+            {"deadline_s": 1.0},
+        ):
+            with pytest.raises(ProtocolError, match="unknown request field") as excinfo:
                 PlanRequest.from_dict({"matrix": "pap", **field})
+            assert str(excinfo.value).endswith(next(iter(field)))
 
     def test_rejects_unknown_arch(self):
         with pytest.raises(ProtocolError, match="unknown arch"):
