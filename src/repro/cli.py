@@ -21,20 +21,12 @@ MatrixMarket file, exactly what the paper's host-side framework does
     hottiles partition matrix.mtx --arch spade-sextans --scale 4 \\
         [--save-dir out/] [--verify]
 
-*Fault injection* (docs/faults.md) -- simulate under a deterministic
-fault schedule and sweep fault intensity::
-
-    hottiles simulate pap --arch spade-sextans --faults faults.json
-    hottiles simulate pap --random-faults 1.0 --seed 0
-    hottiles resilience pap [--rates 0 0.5 1 2] [--json resilience.json]
-
 *Serving* -- run the preprocessing pipeline as a long-lived plan service
-(see docs/service.md) and drive it, optionally with chaos injection::
+(see docs/service.md) and drive it::
 
     hottiles serve [--port 8750] [--workers 2] [--queue-depth 16]
     hottiles serve --cluster 4 [--port 0]      # sharded multi-process cluster
     hottiles loadgen [--requests 200] [--concurrency 8]
-    hottiles loadgen --chaos [--chaos-rate 0.1] [--chaos-kinds timeout]
     hottiles loadgen --cluster [--json report.json]  # per-shard latency
 
 ``serve --cluster N`` (docs/cluster.md) runs N planner shard processes
@@ -309,191 +301,6 @@ def _sweep_command(argv: List[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-def _simulate_command(argv: List[str]) -> int:
-    from repro.arch.configs import ARCHITECTURE_FACTORIES, build_architecture
-    from repro.experiments.matrices import ALL_MATRICES, load_matrix
-    from repro.faults.errors import FaultScheduleError, SimFault
-    from repro.faults.schedule import FaultSchedule
-    from repro.pipeline.preprocess import HotTilesPreprocessor
-    from repro.sim.engine import simulate
-    from repro.sparse.mmio import read_matrix_market
-
-    parser = argparse.ArgumentParser(
-        prog="hottiles simulate",
-        description="Partition and simulate one matrix, optionally under a "
-        "fault-injection schedule (docs/faults.md)",
-    )
-    parser.add_argument(
-        "matrix",
-        help="benchmark short name (e.g. pap) or path to a MatrixMarket file",
-    )
-    parser.add_argument(
-        "--arch",
-        default="spade-sextans",
-        choices=sorted(ARCHITECTURE_FACTORIES),
-        help="target architecture",
-    )
-    parser.add_argument(
-        "--scale", type=int, default=4, help="system scale (SPADE-Sextans variants)"
-    )
-    parser.add_argument(
-        "--faults",
-        default=None,
-        metavar="FILE",
-        help="fault schedule JSON to inject (docs/faults.md)",
-    )
-    parser.add_argument(
-        "--random-faults",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="instead of --faults, draw a seeded schedule with about RATE "
-        "events of each type over the fault-free makespan",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for --random-faults"
-    )
-    args = parser.parse_args(argv)
-    if args.faults is not None and args.random_faults is not None:
-        raise SystemExit("--faults and --random-faults are mutually exclusive")
-
-    arch = build_architecture(args.arch, args.scale)
-    matrix = (
-        load_matrix(args.matrix)
-        if args.matrix in ALL_MATRICES
-        else read_matrix_market(args.matrix)
-    )
-    print(f"matrix: {matrix}")
-    print(f"architecture: {arch}")
-
-    preprocess = HotTilesPreprocessor(arch).run(matrix)
-    chosen = preprocess.partition.chosen
-    base = simulate(
-        arch, preprocess.tiled, chosen.assignment, chosen.mode, split=chosen.split
-    )
-    print(
-        f"\nfault-free '{chosen.label}' ({chosen.mode.value}): "
-        f"{base.time_s * 1e3:.3f} ms, {base.bytes_total / 1e6:.1f} MB moved"
-    )
-
-    schedule = None
-    if args.faults is not None:
-        try:
-            schedule = FaultSchedule.load(args.faults)
-            schedule.validate_against(arch.hot.count, arch.cold.count)
-        except (OSError, FaultScheduleError) as exc:
-            raise SystemExit(f"--faults: {exc}")
-    elif args.random_faults is not None:
-        schedule = FaultSchedule.random(
-            seed=args.seed,
-            horizon_s=base.time_s,
-            hot_instances=arch.hot.count,
-            cold_instances=arch.cold.count,
-            failure_rate=args.random_faults,
-            slowdown_rate=args.random_faults,
-            bandwidth_rate=args.random_faults,
-        )
-    if schedule is None or schedule.empty:
-        if schedule is not None:
-            print("fault schedule is empty -- nothing to inject")
-        return 0
-
-    print(f"injecting {schedule!r}")
-    try:
-        faulted = simulate(
-            arch, preprocess.tiled, chosen.assignment, chosen.mode,
-            faults=schedule, split=chosen.split,
-        )
-    except SimFault as exc:
-        print(f"execution did not survive: {exc}", file=sys.stderr)
-        return 1
-    summary = faulted.faults
-    print(
-        f"degraded: {faulted.time_s * 1e3:.3f} ms "
-        f"({faulted.time_s / base.time_s:.2f}x inflation)"
-    )
-    if summary is not None:
-        print(
-            f"injected {summary.slowdowns} slowdowns, {summary.failures} "
-            f"failures, {summary.bandwidth_windows} bandwidth windows; "
-            f"{summary.reassigned_phases} phases reassigned"
-            + (
-                f" off {', '.join(summary.failed_instances)}"
-                if summary.failed_instances
-                else ""
-            )
-        )
-    return 0
-
-
-def _resilience_command(argv: List[str]) -> int:
-    from repro.experiments.matrices import ALL_MATRICES, load_matrix
-    from repro.experiments.resilience import (
-        DEFAULT_ARCHES,
-        DEFAULT_RATES,
-        resilience_sweep,
-    )
-    from repro.sparse.mmio import read_matrix_market
-
-    parser = argparse.ArgumentParser(
-        prog="hottiles resilience",
-        description="Fault-rate sweep: makespan inflation vs the fault-free "
-        "run per architecture (docs/faults.md)",
-    )
-    parser.add_argument(
-        "matrix",
-        help="benchmark short name (e.g. pap) or path to a MatrixMarket file",
-    )
-    parser.add_argument(
-        "--arch",
-        nargs="+",
-        default=list(DEFAULT_ARCHES),
-        help=f"architectures to sweep (default: {' '.join(DEFAULT_ARCHES)})",
-    )
-    parser.add_argument(
-        "--rates",
-        nargs="+",
-        type=float,
-        default=list(DEFAULT_RATES),
-        help="expected events of each fault type over the fault-free makespan",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="schedule seed")
-    parser.add_argument(
-        "--scale", type=int, default=4, help="system scale (SPADE-Sextans variants)"
-    )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="also write the sweep as a JSON report (the CI artifact)",
-    )
-    args = parser.parse_args(argv)
-
-    matrix = (
-        load_matrix(args.matrix)
-        if args.matrix in ALL_MATRICES
-        else read_matrix_market(args.matrix)
-    )
-    try:
-        result = resilience_sweep(
-            matrix,
-            arches=args.arch,
-            rates=args.rates,
-            seed=args.seed,
-            scale=args.scale,
-            label=args.matrix,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    print(result.render())
-    print(f"max makespan inflation {result.max_inflation():.2f}x")
-    if args.json:
-        result.save_json(args.json)
-        print(f"report written to {args.json}")
-    return 0 if result.all_finite() else 1
-
-
-# ----------------------------------------------------------------------
 def _partition_command(argv: List[str]) -> int:
     from repro.arch.configs import ARCHITECTURE_FACTORIES, build_architecture
     from repro.pipeline.preprocess import HotTilesPreprocessor
@@ -727,7 +534,7 @@ def _serve_command(argv: List[str]) -> int:
         "--no-degraded-fallback",
         action="store_true",
         help="on a request timeout answer 504 instead of serving the "
-        "roofline-only degraded plan (docs/faults.md)",
+        "roofline-only degraded plan (docs/service.md)",
     )
     parser.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
@@ -877,30 +684,6 @@ def _loadgen_command(argv: List[str]) -> int:
         help="workload passes; pass 1 is cold, the rest are warm (default: 2)",
     )
     parser.add_argument(
-        "--chaos",
-        action="store_true",
-        help="inject client-side faults into a fraction of requests "
-        "(docs/faults.md)",
-    )
-    parser.add_argument(
-        "--chaos-rate",
-        type=float,
-        default=0.1,
-        metavar="F",
-        help="fraction of requests perturbed under --chaos (default: 0.1)",
-    )
-    parser.add_argument(
-        "--chaos-seed", type=int, default=0, help="chaos RNG seed (default: 0)"
-    )
-    parser.add_argument(
-        "--chaos-kinds",
-        nargs="+",
-        default=["timeout"],
-        metavar="KIND",
-        help="fault kinds to draw from: timeout and/or malformed "
-        "(default: timeout only, so every injection is absorbable)",
-    )
-    parser.add_argument(
         "--cluster",
         action="store_true",
         help="cluster mode: require zero dropped connections and report "
@@ -939,26 +722,12 @@ def _loadgen_command(argv: List[str]) -> int:
             )
             progress(f"report written to {args.json}")
 
-    chaos = None
-    if args.chaos:
-        from repro.faults.chaos import ChaosConfig
-
-        try:
-            chaos = ChaosConfig(
-                rate=args.chaos_rate,
-                seed=args.chaos_seed,
-                kinds=tuple(args.chaos_kinds),
-            )
-        except ValueError as exc:
-            raise SystemExit(f"--chaos: {exc}")
-
     report = run_loadgen(
         args.url.rstrip("/"),
         requests=args.requests,
         concurrency=args.concurrency,
         plans=args.plans,
         passes=args.passes,
-        chaos=chaos,
     )
     progress(report.render())
     emit_json(report.to_dict())
@@ -1184,12 +953,6 @@ SUBCOMMANDS: Dict[str, Tuple[Callable[[List[str]], int], str]] = {
         _partition_command, "run the preprocessing pipeline on a MatrixMarket file"
     ),
     "sweep": (_sweep_command, "bandwidth / K / cold-worker-count sensitivity sweeps"),
-    "simulate": (
-        _simulate_command, "partition + simulate once, optionally fault-injected"
-    ),
-    "resilience": (
-        _resilience_command, "fault-rate sweep: makespan inflation vs fault-free"
-    ),
     "serve": (_serve_command, "run the HTTP partition-planning service"),
     "loadgen": (
         _loadgen_command, "closed-loop load generator against a running service"

@@ -149,6 +149,10 @@ class ClusterManager:
         existing = env.get("PYTHONPATH", "")
         if src not in existing.split(os.pathsep):
             env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        if entry._reader is not None:
+            # A respawn: the old process has exited, so its reader is at
+            # EOF and closes the old pipe.
+            entry._reader.join(timeout=5.0)
         entry._handshake = threading.Event()
         entry.proc = subprocess.Popen(
             cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
@@ -169,16 +173,18 @@ class ClusterManager:
         )
 
     def _read_shard_output(self, entry: ShardProcess, proc: subprocess.Popen) -> None:
-        """Drain one shard's stdout forever; catch the handshake line."""
+        """Drain one shard's stdout to EOF, then close it; catch the
+        handshake line."""
         assert proc.stdout is not None
-        for line in proc.stdout:
-            line = line.rstrip("\n")
-            match = _HANDSHAKE_RE.search(line)
-            if match and int(match.group(1)) == entry.shard_id:
-                entry.port = int(match.group(2))
-                entry._handshake.set()
-            elif line:
-                self._log(f"[shard {entry.shard_id}] {line}")
+        with proc.stdout:
+            for line in proc.stdout:
+                line = line.rstrip("\n")
+                match = _HANDSHAKE_RE.search(line)
+                if match and int(match.group(1)) == entry.shard_id:
+                    entry.port = int(match.group(2))
+                    entry._handshake.set()
+                elif line:
+                    self._log(f"[shard {entry.shard_id}] {line}")
 
     def _start_router(self) -> None:
         for sid, entry in self._shards.items():
@@ -345,7 +351,9 @@ class ClusterManager:
                 try:
                     entry.proc.wait(timeout=5.0)
                 except subprocess.TimeoutExpired:
-                    pass
+                    continue
+            if entry._reader is not None:
+                entry._reader.join(timeout=5.0)
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._loop.stop)
         if self._loop_thread is not None:

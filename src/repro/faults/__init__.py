@@ -1,53 +1,25 @@
-"""Deterministic fault injection and degraded-mode execution.
+"""Service-side error handling.
 
-See ``docs/faults.md``.  Three layers:
+See ``docs/service.md``.  Two modules:
 
-- :mod:`repro.faults.schedule` -- seeded :class:`FaultSchedule` that the
-  simulator's event loop applies (``repro.sim.engine.simulate(...,
-  faults=...)``),
 - :mod:`repro.faults.errors` -- the retryable/terminal error taxonomy and
-  :class:`StructuredError` record the planning service carries,
-- :mod:`repro.faults.retry` / :mod:`repro.faults.chaos` -- bounded
-  backoff with jitter and the chaos load-generator configuration.
+  the :class:`StructuredError` record the planning service carries,
+- :mod:`repro.faults.retry` -- bounded backoff with seeded jitter for the
+  planner's retry loop.
 """
 
-from repro.faults.chaos import CHAOS_KINDS, ChaosConfig, ChaosDecision
 from repro.faults.errors import (
-    FaultError,
-    FaultScheduleError,
     RetryableError,
-    SimFault,
     StructuredError,
     TerminalError,
     is_retryable,
 )
-from repro.faults.retry import RetryExhausted, RetryPolicy
-from repro.faults.schedule import (
-    BandwidthWindow,
-    FaultEvent,
-    FaultSchedule,
-    FaultSummary,
-    WorkerFailure,
-    WorkerSlowdown,
-)
+from repro.faults.retry import RetryPolicy
 
 __all__ = [
-    "BandwidthWindow",
-    "CHAOS_KINDS",
-    "ChaosConfig",
-    "ChaosDecision",
-    "FaultError",
-    "FaultEvent",
-    "FaultSchedule",
-    "FaultScheduleError",
-    "FaultSummary",
-    "RetryExhausted",
     "RetryPolicy",
     "RetryableError",
-    "SimFault",
     "StructuredError",
     "TerminalError",
-    "WorkerFailure",
-    "WorkerSlowdown",
     "is_retryable",
 ]

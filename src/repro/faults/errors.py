@@ -1,18 +1,11 @@
-"""The typed fault/error taxonomy shared by the simulator and the service.
+"""The typed error taxonomy of the planning service.
 
-Two axes:
-
-1. *Simulator faults* -- :class:`SimFault` is raised when an injected
-   failure leaves a worker group with pending work and no surviving
-   instance to absorb it: the execution genuinely cannot complete, so a
-   typed, catchable signal replaces a silent wrong answer.
-2. *Service errors* -- every worker-side exception is classified as
-   **retryable** (transient: timeouts, connection resets, resource
-   pressure, or anything raised as :class:`RetryableError`) or
-   **terminal** (deterministic: malformed requests, value errors -- a
-   retry would fail identically).  The classification drives the
-   planner's bounded-backoff retry loop and the HTTP status mapping
-   (``503`` + ``Retry-After`` vs ``500``).
+Every worker-side exception is classified as **retryable** (transient:
+timeouts, connection resets, resource pressure, or anything raised as
+:class:`RetryableError`) or **terminal** (deterministic: malformed
+requests, value errors -- a retry would fail identically).  The
+classification drives the planner's bounded-backoff retry loop and the
+HTTP status mapping (``503`` + ``Retry-After`` vs ``500``).
 
 A :class:`StructuredError` is the wire/record form of one failure: type
 name, message, the tail of the traceback, and the retryable flag.  It is
@@ -28,39 +21,11 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 __all__ = [
-    "FaultError",
-    "SimFault",
-    "FaultScheduleError",
     "RetryableError",
     "TerminalError",
     "is_retryable",
     "StructuredError",
 ]
-
-
-class FaultError(RuntimeError):
-    """Base of all fault-injection errors."""
-
-
-class SimFault(FaultError):
-    """An injected failure left pending work with no surviving worker.
-
-    Carries the group (``"hot"``/``"cold"``), the simulated time of the
-    fatal failure, and the label of the last instance to die.
-    """
-
-    def __init__(self, kind: str, t_s: float, instance: str) -> None:
-        super().__init__(
-            f"all {kind} workers failed by t={t_s:.6g}s "
-            f"(last survivor {instance!r}) with work pending"
-        )
-        self.kind = kind
-        self.t_s = t_s
-        self.instance = instance
-
-
-class FaultScheduleError(ValueError):
-    """A malformed fault schedule (bad event, factor, or target)."""
 
 
 class RetryableError(RuntimeError):

@@ -10,29 +10,12 @@ decorrelating real retry storms.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar
+from typing import Optional
 
 import numpy as np
 
-from repro.faults.errors import is_retryable
-
-__all__ = ["RetryPolicy", "RetryExhausted"]
-
-T = TypeVar("T")
-
-
-class RetryExhausted(RuntimeError):
-    """Every attempt failed; ``last`` is the final exception."""
-
-    def __init__(self, attempts: int, last: BaseException) -> None:
-        super().__init__(
-            f"retryable failure persisted through {attempts} attempts: "
-            f"{type(last).__name__}: {last}"
-        )
-        self.attempts = attempts
-        self.last = last
+__all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -65,33 +48,3 @@ class RetryPolicy:
         if self.jitter > 0.0 and rng is not None:
             delay += delay * self.jitter * float(rng.random())
         return delay
-
-    def call(
-        self,
-        fn: Callable[[], T],
-        rng: Optional[np.random.Generator] = None,
-        sleep: Callable[[float], None] = time.sleep,
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
-    ) -> T:
-        """Run ``fn`` with retries on retryable exceptions.
-
-        Terminal exceptions propagate unchanged on the first occurrence;
-        a retryable exception that survives every attempt is wrapped in
-        :class:`RetryExhausted` (callers inspect ``.last``).
-        """
-        rng = self.rng() if rng is None else rng
-        last: Optional[BaseException] = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return fn()
-            except Exception as exc:  # noqa: BLE001 -- classified below
-                if not is_retryable(exc):
-                    raise
-                last = exc
-                if attempt == self.max_attempts:
-                    break
-                if on_retry is not None:
-                    on_retry(attempt, exc)
-                sleep(self.delay_s(attempt, rng))
-        assert last is not None
-        raise RetryExhausted(self.max_attempts, last) from last

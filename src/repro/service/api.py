@@ -7,7 +7,7 @@ HTTP front end (:mod:`repro.service.httpd`) and the cluster shard's
 length-prefixed JSON IPC loop (:mod:`repro.cluster.shard`) -- cannot
 drift apart in their error taxonomy.
 
-Status contract (docs/service.md, docs/faults.md, docs/streaming.md):
+Status contract (docs/service.md, docs/streaming.md):
 
 ========  ===========================================================
 ``200``   served (plan / applied delta / stored plan / stats)
@@ -92,7 +92,7 @@ def plan_endpoint(service: PlanService, payload: Mapping[str, Any]) -> Reply:
         # Retryable failures answer 503 + Retry-After so well-behaved
         # clients back off and try again; terminal failures stay 500
         # (a retry would reproduce them).  Either way the structured
-        # record rides along for diagnosis (docs/faults.md).
+        # record rides along for diagnosis (docs/service.md).
         detail = exc.error.to_dict()
         if exc.retryable:
             retry_after = service.retry_after_hint()

@@ -9,7 +9,7 @@ Endpoints (all JSON):
   + ``Retry-After`` while draining, ``500`` when the plan computation
   failed *terminally*, and ``503`` + ``Retry-After`` when it failed with
   a *retryable* error (failure bodies carry a structured
-  ``error_detail`` record -- see docs/faults.md).
+  ``error_detail`` record -- see docs/service.md).
 - ``POST /matrices/<digest>/delta`` -- body is a :class:`~repro.
   streaming.delta.DeltaBatch` wire object addressed at the *current
   head* digest of a registered matrix lineage; replies ``200`` with

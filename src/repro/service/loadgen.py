@@ -11,13 +11,6 @@ that populates the plan store and a warm pass that must be served from
 it -- and reads ``GET /stats`` around each pass so the report can state
 the store hit rate and verify the server's counters reconcile with the
 client's totals.
-
-Chaos mode (``hottiles loadgen --chaos``, docs/faults.md): a seeded
-:class:`~repro.faults.chaos.ChaosConfig` perturbs a fraction of requests
-before they are sent.  An injected request that settles in one of its
-*expected* statuses (e.g. ``504`` for an injected timeout, ``400`` for a
-deliberately malformed body) is counted as *absorbed*, not failed -- the
-fault handling worked; only an unexpected status is a failure.
 """
 
 from __future__ import annotations
@@ -30,7 +23,6 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.faults.chaos import ChaosConfig
 from repro.service.metrics import Histogram
 
 __all__ = [
@@ -78,8 +70,6 @@ class LoadgenPass:
     store_gets_delta: int = 0
     errors: List[str] = field(default_factory=list)
     transport_errors: int = 0  #: dropped connections (no HTTP status at all)
-    chaos_injected: Dict[str, int] = field(default_factory=dict)  #: per fault kind
-    chaos_absorbed: int = 0  #: injected requests that settled as expected
 
     @property
     def throughput_rps(self) -> float:
@@ -102,15 +92,6 @@ class LoadgenPass:
             f"p99 {p['p99'] * 1e3:.1f} ms",
             f"  served: {served or '-'}; plan-store hit rate {self.store_hit_rate:.0%}",
         ]
-        if self.chaos_injected:
-            kinds = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.chaos_injected.items())
-            )
-            total = sum(self.chaos_injected.values())
-            lines.append(
-                f"  chaos: {total} injected ({kinds}), "
-                f"{self.chaos_absorbed} absorbed as expected"
-            )
         if self.shard_latency:
             for shard in sorted(self.shard_latency, key=str):
                 sp = self.shard_latency[shard].percentiles()
@@ -145,8 +126,6 @@ class LoadgenPass:
                 for shard, hist in sorted(self.shard_latency.items(), key=lambda kv: str(kv[0]))
             },
             "store_hit_rate": self.store_hit_rate,
-            "chaos_injected": dict(self.chaos_injected),
-            "chaos_absorbed": self.chaos_absorbed,
             "errors": list(self.errors[:10]),
         }
 
@@ -256,7 +235,6 @@ def run_pass(
     name: str = "pass",
     max_retries: int = 64,
     request_timeout_s: float = 120.0,
-    chaos: Optional[ChaosConfig] = None,
 ) -> LoadgenPass:
     """One closed-loop pass of ``requests`` total requests."""
     if requests < 1 or concurrency < 1:
@@ -276,13 +254,8 @@ def run_pass(
 
     def record(outcome: str, latency_s: float, served: Optional[str],
                retries: int, error: Optional[str],
-               chaos_kind: Optional[str] = None,
                shard: Optional[str] = None) -> None:
         with counter_lock:
-            if chaos_kind is not None:
-                result.chaos_injected[chaos_kind] = (
-                    result.chaos_injected.get(chaos_kind, 0) + 1
-                )
             if outcome == "ok":
                 result.completed += 1
                 result.latency.observe(latency_s)
@@ -291,12 +264,6 @@ def run_pass(
                     hist.observe(latency_s)
                 if served:
                     result.served[served] = result.served.get(served, 0) + 1
-                if chaos_kind is not None:
-                    result.chaos_absorbed += 1
-            elif outcome == "chaos":
-                # An injected fault answered with an expected status: the
-                # service's fault handling worked, so not a failure.
-                result.chaos_absorbed += 1
             else:
                 result.failed += 1
                 if error and error.startswith("transport:"):
@@ -311,12 +278,6 @@ def run_pass(
             if i is None:
                 return
             payload = payloads[i % len(payloads)]
-            decision = None
-            if chaos is not None:
-                with counter_lock:  # the seeded RNG is shared across clients
-                    decision = chaos.decide(payload)
-                payload = decision.payload
-            kind = decision.kind if decision is not None else None
             retries = 0
             start = time.monotonic()
             while True:
@@ -325,8 +286,7 @@ def run_pass(
                         url, payload, timeout_s=request_timeout_s
                     )
                 except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                    record("failed", 0.0, None, retries, f"transport: {exc}",
-                           chaos_kind=kind)
+                    record("failed", 0.0, None, retries, f"transport: {exc}")
                     break
                 if status == 200:
                     record(
@@ -335,7 +295,6 @@ def run_pass(
                         body.get("served"),
                         retries,
                         None,
-                        chaos_kind=kind,
                         shard=headers.get("X-Hottiles-Shard"),
                     )
                     break
@@ -353,13 +312,9 @@ def run_pass(
                         delay = 0.05
                     time.sleep(min(delay, 1.0))
                     continue
-                if decision is not None and decision.injected and decision.expects(status):
-                    record("chaos", 0.0, None, retries, None, chaos_kind=kind)
-                    break
                 record(
                     "failed", 0.0, None, retries,
                     f"HTTP {status}: {body.get('error', body)}",
-                    chaos_kind=kind,
                 )
                 break
 
@@ -395,13 +350,8 @@ def run_loadgen(
     plans: int = 4,
     passes: int = 2,
     max_retries: int = 64,
-    chaos: Optional[ChaosConfig] = None,
 ) -> LoadgenReport:
-    """The standard cold-then-warm workload against a running server.
-
-    With ``chaos``, every pass shares the one seeded config, so the
-    whole run's injection sequence is reproducible from its seed.
-    """
+    """The standard cold-then-warm workload against a running server."""
     payloads = default_request_payloads(plans)
     names = ["cold"] + [f"warm{i if passes > 2 else ''}" for i in range(1, passes)]
     results = [
@@ -412,7 +362,6 @@ def run_loadgen(
             concurrency=concurrency,
             name=names[i],
             max_retries=max_retries,
-            chaos=chaos,
         )
         for i in range(passes)
     ]

@@ -20,7 +20,7 @@ are the right grain here: one plan is milliseconds-to-seconds of
 numpy-heavy work that releases the GIL in its hot loops, and the store
 and coalescing map are cheap to share in-process.
 
-Failure handling (docs/faults.md): a worker-side exception is captured
+Failure handling (docs/service.md): a worker-side exception is captured
 as a typed :class:`~repro.faults.errors.StructuredError` (exception
 type, message, traceback tail, retryable flag) instead of a flattened
 string.  *Retryable* failures (timeouts, connection-shaped OS errors,
@@ -450,7 +450,7 @@ class PlanService:
         for the hot group, as in the IUnaware baseline), and answer with
         the faster group's homogeneous plan.  The result is *not*
         published to the store -- it is a coarse stopgap, not the real
-        plan (docs/faults.md).  Returns ``None`` if even the fallback
+        plan (docs/service.md).  Returns ``None`` if even the fallback
         fails, in which case the caller falls through to PlanTimeout.
         """
         from repro.core.contention import effective_cold_bw, effective_hot_bw

@@ -237,3 +237,28 @@ class TestDrain:
             # /stats reports the drain in progress on the shard detail.
             _, stats, _ = http(base, "/stats")
             assert stats["cluster"]["shards"][0]["draining"] is True
+
+
+class TestShardPipes:
+    def test_respawn_and_stop_close_every_shard_pipe(self, tmp_path):
+        mgr = ClusterManager(
+            shards=1, store_dir=str(tmp_path / "store"), restart_backoff_s=0.0
+        )
+        spawned = []
+        spawn = mgr._spawn
+
+        def recording_spawn(shard_id):
+            spawn(shard_id)
+            spawned.append(mgr._shards[shard_id].proc)
+
+        mgr._spawn = recording_spawn
+        with mgr:
+            mgr.kill_shard(0)  # the supervisor respawns it
+            deadline = time.monotonic() + 30.0
+            while len(spawned) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert len(spawned) == 2
+            mgr.restart_shard(0)
+        assert len(spawned) == 3
+        assert all(proc.poll() is not None for proc in spawned)
+        assert all(proc.stdout.closed for proc in spawned)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.arch.configs import piuma, spade_sextans
+from repro.arch.configs import piuma, spade_sextans, spade_sextans_pcie
 from repro.experiments.cache import CACHE_DIR_ENV
 from repro.sparse import generators
 from repro.sparse.matrix import SparseMatrix
@@ -43,6 +43,26 @@ def small_banded() -> SparseMatrix:
 
 
 @pytest.fixture(scope="session")
+def small_mycielskian() -> SparseMatrix:
+    """A Mycielskian graph: 383 vertices, 9 tiles of ~1,600 nonzeros."""
+    return generators.mycielskian(9)
+
+
+@pytest.fixture(scope="session")
+def small_dense_blocks() -> SparseMatrix:
+    """Dense random blocks over a sparse uniform background."""
+    return generators.dense_blocks(
+        512, 12_000, 4, 96, background_fraction=0.12, seed=42
+    )
+
+
+@pytest.fixture(scope="session")
+def small_community() -> SparseMatrix:
+    """Skewed diagonal communities plus cross-community edges."""
+    return generators.community_blocks(1024, 10_000, 8, intra_fraction=0.85, seed=42)
+
+
+@pytest.fixture(scope="session")
 def tiny_matrix() -> SparseMatrix:
     """An 8x8 hand-checkable matrix."""
     rows = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7, 7])
@@ -60,6 +80,12 @@ def spade_sextans_arch():
 @pytest.fixture(scope="session")
 def piuma_arch():
     return piuma()
+
+
+@pytest.fixture(scope="session")
+def pcie_arch():
+    """Scale-4 SPADE-Sextans with its hot workers behind PCIe."""
+    return spade_sextans_pcie(4)
 
 
 @pytest.fixture()

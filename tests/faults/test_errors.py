@@ -4,11 +4,12 @@ import pytest
 
 from repro.faults.errors import (
     RetryableError,
-    SimFault,
     StructuredError,
     TerminalError,
     is_retryable,
 )
+from repro.service.protocol import ProtocolError
+from repro.streaming.lineage import StaleDigestError, UnknownLineageError
 
 
 class TestClassification:
@@ -33,7 +34,10 @@ class TestClassification:
             KeyError("k"),
             RuntimeError("r"),
             TerminalError("deterministic"),
-            SimFault("cold", 0.5, "cold-1"),
+            # What the planner itself raises on a bad request or digest.
+            ProtocolError("p"),
+            StaleDigestError("a" * 64, "b" * 64),
+            UnknownLineageError("c" * 64),
         ],
     )
     def test_terminal(self, exc):
@@ -44,15 +48,6 @@ class TestClassification:
             pass
 
         assert not is_retryable(DeterministicTimeout("never retry"))
-
-
-class TestSimFault:
-    def test_carries_context(self):
-        fault = SimFault("hot", 1.25, "hot-0")
-        assert fault.kind == "hot"
-        assert fault.t_s == 1.25
-        assert fault.instance == "hot-0"
-        assert "hot" in str(fault) and "pending" in str(fault)
 
 
 class TestStructuredError:

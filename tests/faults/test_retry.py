@@ -1,9 +1,8 @@
-"""RetryPolicy: backoff shape, jitter bounds, and the call() loop."""
+"""RetryPolicy: backoff shape and jitter bounds."""
 
 import pytest
 
-from repro.faults.errors import RetryableError
-from repro.faults.retry import RetryExhausted, RetryPolicy
+from repro.faults.retry import RetryPolicy
 
 
 class TestDelay:
@@ -35,62 +34,3 @@ class TestDelay:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
-
-
-class TestCall:
-    def test_first_try_success_never_sleeps(self):
-        slept = []
-        result = RetryPolicy(max_attempts=3).call(lambda: 42, sleep=slept.append)
-        assert result == 42 and slept == []
-
-    def test_terminal_raises_immediately(self):
-        calls = []
-
-        def fail():
-            calls.append(1)
-            raise ValueError("deterministic")
-
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=5).call(fail, sleep=lambda _: None)
-        assert len(calls) == 1
-
-    def test_retryable_retries_then_succeeds(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise RetryableError("transient")
-            return "ok"
-
-        slept = []
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.01, jitter=0.0)
-        assert policy.call(flaky, sleep=slept.append) == "ok"
-        assert len(attempts) == 3
-        assert slept == [0.01, 0.02]
-
-    def test_exhaustion_wraps_last_exception(self):
-        def always():
-            raise TimeoutError("still slow")
-
-        policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
-        with pytest.raises(RetryExhausted) as info:
-            policy.call(always, sleep=lambda _: None)
-        assert info.value.attempts == 2
-        assert isinstance(info.value.last, TimeoutError)
-
-    def test_on_retry_callback_sees_each_failure(self):
-        seen = []
-
-        def flaky():
-            if len(seen) < 2:
-                raise TimeoutError("slow")
-            return "done"
-
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.0)
-        policy.call(
-            flaky,
-            sleep=lambda _: None,
-            on_retry=lambda attempt, exc: seen.append((attempt, type(exc).__name__)),
-        )
-        assert seen == [(1, "TimeoutError"), (2, "TimeoutError")]

@@ -273,3 +273,45 @@ class TestHttpErrorMapping:
                 server.shutdown()
             assert stats["last_errors"]
             assert stats["last_errors"][-1]["type"] == "ValueError"
+
+
+class TestHttpWaitBound:
+    """The wire field ``timeout_s`` bounds one request's wait over HTTP."""
+
+    PAYLOAD = {
+        "generator": {"kind": "rmat", "scale": 8, "nnz": 2000, "seed": 0},
+        "timeout_s": 0.05,
+    }
+
+    def _post_while_held(self, svc):
+        real_compute = svc._compute
+        release = threading.Event()
+
+        def slow(request, digest):
+            release.wait(5.0)
+            return real_compute(request, digest)
+
+        svc._compute = slow
+        server = _LiveServer(svc)
+        try:
+            return server.post("/plan", self.PAYLOAD)
+        finally:
+            release.set()
+            server.shutdown()
+
+    def test_elapsed_wait_serves_degraded_plan(self, tmp_path):
+        with PlanService(
+            store=PlanStore(tmp_path / "p"), workers=1, degraded_fallback=True
+        ) as svc:
+            status, _, body = self._post_while_held(svc)
+        assert status == 200
+        assert body["served"] == "degraded"
+        assert body["plan"]["label"].startswith("roofline-")
+
+    def test_elapsed_wait_without_fallback_answers_504(self, tmp_path):
+        with PlanService(
+            store=PlanStore(tmp_path / "p"), workers=1, degraded_fallback=False
+        ) as svc:
+            status, _, body = self._post_while_held(svc)
+        assert status == 504
+        assert body["digest"] == PlanRequest.from_dict(self.PAYLOAD).digest()

@@ -10,24 +10,37 @@ that every floating-point reduction associates identically.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch.configs import spade_sextans_pcie
+from repro.arch.configs import piuma, spade_sextans, spade_sextans_pcie
 from repro.core.contention import UNTILED_BLOCK_DIVISOR
 from repro.core.partition import ExecutionMode
 from repro.obs import Tracer, use_tracer
-from repro.sim._reference import Chunk, build_plans_reference, simulate_reference
-from repro.sim.engine import simulate
-from repro.sim.worker_sim import build_plans
+from repro.sim import _reference
+from repro.sim._reference import (
+    Chunk,
+    build_plans_reference,
+    run_fluid_reference,
+    simulate_reference,
+)
+from repro.sim.engine import _run_fluid, simulate
+from repro.sim.worker_sim import InstancePlan, build_plans
+from repro.sparse.matrix import SparseMatrix
 from repro.sparse.tiling import TiledMatrix
 
-MATRIX_FIXTURES = ["tiny_matrix", "small_rmat", "small_uniform", "small_banded"]
+#: The shared sparse fixtures, then the dense-tile families of the
+#: benchmark's dense-few-tiles workload at test size.
+MATRIX_FIXTURES = [
+    "tiny_matrix",
+    "small_rmat",
+    "small_uniform",
+    "small_banded",
+    "small_mycielskian",
+    "small_dense_blocks",
+    "small_community",
+]
 ASSIGNMENT_FRACS = [0.0, 0.3, 1.0]
-
-
-@pytest.fixture(scope="session")
-def pcie_arch():
-    return spade_sextans_pcie(4)
-
 
 ARCH_FIXTURES = ["spade_sextans_arch", "piuma_arch", "pcie_arch"]
 
@@ -147,3 +160,167 @@ def test_untiled_block_override_bit_identical(
     new = simulate(arch, tiled, assignment, ExecutionMode.PARALLEL)
     ref = simulate_reference(arch, tiled, assignment, ExecutionMode.PARALLEL)
     _assert_results_identical(new, ref)
+
+
+# ----------------------------------------------------------------------
+# Degenerate inputs
+# ----------------------------------------------------------------------
+def _matrix(n_rows, n_cols, rows, cols):
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.ones(len(rows), dtype=np.float32)
+    return SparseMatrix(n_rows, n_cols, rows, cols, vals)
+
+
+def _dense_tile():
+    r, c = np.meshgrid(np.arange(128), np.arange(128), indexing="ij")
+    return _matrix(256, 256, r.ravel(), c.ravel())
+
+
+DEGENERATE = {
+    "0x0": lambda: _matrix(0, 0, [], []),
+    "empty-64x64": lambda: _matrix(64, 64, [], []),
+    "one-nonzero": lambda: _matrix(64, 64, [5], [7]),
+    "one-dense-tile": _dense_tile,
+    "one-row": lambda: _matrix(512, 512, [3] * 256, range(0, 512, 2)),
+}
+
+
+@pytest.mark.parametrize("mode", [ExecutionMode.PARALLEL, ExecutionMode.SERIAL])
+@pytest.mark.parametrize("arch_fixture", ARCH_FIXTURES)
+@pytest.mark.parametrize("frac", [0.0, 0.5, 1.0], ids=["all-cold", "half", "all-hot"])
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_inputs_bit_identical(name, frac, arch_fixture, mode, request):
+    """Empty matrices, a lone nonzero, one dense tile and one row, with
+    every tile cold, half of them hot, or every tile hot."""
+    arch = request.getfixturevalue(arch_fixture)
+    tiled = TiledMatrix(DEGENERATE[name](), arch.tile_height, arch.tile_width)
+    assignment = np.arange(tiled.n_tiles) < round(frac * tiled.n_tiles)
+
+    new = simulate(arch, tiled, assignment, mode)
+    assert new == simulate_reference(arch, tiled, assignment, mode)
+
+
+# ----------------------------------------------------------------------
+# Loop level: hand-made plans
+# ----------------------------------------------------------------------
+LOOP_ARCHS = {
+    "spade": spade_sextans(4), "pcie": spade_sextans_pcie(4), "piuma": piuma()
+}
+
+
+def _plan_pair(traits, chunk_phases):
+    """One instance plan in the live and the frozen shape, whose chunk
+    ``k`` runs the phases ``chunk_phases[k]`` (1 nonzero, 1 byte, panel
+    ``k``)."""
+    phases = [p for chunk in chunk_phases for p in chunk]
+    n = len(chunk_phases)
+    plan = InstancePlan(
+        kind=traits.kind,
+        traits=traits,
+        phase_c=np.array([c for c, _ in phases], dtype=np.float64),
+        phase_b=np.array([b for _, b in phases], dtype=np.float64),
+        chunk_phase_off=np.cumsum([0] + [len(c) for c in chunk_phases]),
+        chunk_panel=np.arange(n),
+        chunk_nnz=np.ones(n, dtype=np.int64),
+        chunk_bytes=np.ones(n),
+        nnz_total=n,
+        flops_total=float(n),
+        bytes_total=float(n),
+    )
+    ref = _reference.InstancePlan(
+        kind=traits.kind,
+        traits=traits,
+        chunks=[
+            Chunk(panel=k, phases=list(chunk), nnz=1, bytes_total=1.0)
+            for k, chunk in enumerate(chunk_phases)
+        ],
+        nnz_total=n,
+        flops_total=float(n),
+        bytes_total=float(n),
+    )
+    return plan, ref
+
+
+def _assert_loop_matches(arch, hot, cold, t_offset=0.0):
+    """``_run_fluid`` vs the frozen loop on the same plans: makespan, every
+    completion time and the profile, with ``==``, traced and untraced.
+    ``hot``/``cold`` hold one list of chunks per instance, a chunk being
+    a list of (compute s, bytes) phases."""
+    pairs = [_plan_pair(arch.hot.traits, p) for p in hot]
+    pairs += [_plan_pair(arch.cold.traits, p) for p in cold]
+    plans = [plan for plan, _ in pairs]
+    makespan, completions, profile = run_fluid_reference(arch, [r for _, r in pairs])
+    for tracer in (None, Tracer(enabled=True)):
+        got = _run_fluid(arch, plans, tracer, None, t_offset)
+        assert got[0] == makespan
+        assert got[1].tolist() == completions.tolist()
+        assert got[2] == profile
+
+
+#: name -> (hot instances, cold instances).
+LOOP_CASES = {
+    "all-idle": ([[[(0.0, 0.0)]]], [[]]),
+    "compute-only": ([], [[[(1e-5, 0.0)]]]),
+    "memory-only": ([], [[[(0.0, 1e5)]]]),
+    # Work exactly at the engine's epsilon counts as none.
+    "compute-at-epsilon": ([], [[[(1e-18, 1e4)]], [[(1e-18, 0.0), (1e-6, 0.0)]]]),
+    "sub-epsilon-phases-skipped": ([], [[[(4e-19, 0.0), (0.0, 7e-19)], [(1e-5, 1e4)]]]),
+    "sub-epsilon-compute-beside-bytes": ([], [[[(4e-19, 1e4), (1e-5, 0.0)]]]),
+    "instance-without-work": ([[[(0.0, 0.0)], []]], [[[(1e-6, 5e4)]]]),
+    "plan-without-chunks": ([[]], [[[(2e-6, 1e3)]]]),
+    "hot-and-cold-share-bandwidth": (
+        [[[(1e-6, 1e5), (2e-6, 3e4)]], [[(0.0, 8e4)]]],
+        [[[(0.0, 2e5)]], [[(1e-5, 1e3)], [(0.0, 4e4)]]],
+    ),
+    "demand-set-changes": (
+        [],
+        [
+            [[(0.0, 1e5), (3e-6, 0.0), (0.0, 1e5)]],
+            [[(5e-6, 0.0), (0.0, 2e5)]],
+            [[(0.0, 5e4)] * 3],
+        ],
+    ),
+    "many-short-phases": (
+        [[[(2e-7, 5e2)] * 25]],
+        [[[(1e-7 * (k % 3), 1e3 * (k % 2)) for k in range(40)]]],
+    ),
+}
+
+
+@pytest.mark.parametrize("arch_name", sorted(LOOP_ARCHS))
+@pytest.mark.parametrize("name", sorted(LOOP_CASES))
+def test_fluid_loop_bit_identical_on_hand_made_plans(name, arch_name):
+    """Idle instances, empty plans, phases at and below epsilon, and
+    demand sets that change mid-run, on every architecture."""
+    hot, cold = LOOP_CASES[name]
+    _assert_loop_matches(LOOP_ARCHS[arch_name], hot, cold, t_offset=3e-5)
+
+
+_PHASE_C = st.sampled_from([0.0, 4e-19, 1e-18]) | st.floats(1e-7, 1e-4)
+_PHASE_B = st.sampled_from([0.0, 7e-19]) | st.floats(1e2, 1e5)
+
+
+@st.composite
+def plan_cases(draw):
+    """Hand-made instance plans: phases at, below and above the engine's
+    epsilon, and a trace offset as in serial mode's cold run."""
+    arch = LOOP_ARCHS[draw(st.sampled_from(sorted(LOOP_ARCHS)))]
+    groups = []
+    for group in (arch.hot, arch.cold):
+        groups.append([
+            [
+                draw(st.lists(st.tuples(_PHASE_C, _PHASE_B), max_size=4))
+                for _ in range(draw(st.integers(0, 3)))
+            ]
+            for _ in range(draw(st.integers(0, group.count)))
+        ])
+    t_offset = draw(st.sampled_from([0.0, 3e-5]) | st.floats(1e-9, 1e-3))
+    return arch, groups, t_offset
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=plan_cases())
+def test_fluid_loop_bit_identical_on_random_plans(case):
+    arch, (hot, cold), t_offset = case
+    _assert_loop_matches(arch, hot, cold, t_offset)

@@ -3,28 +3,21 @@
 The acceptance criterion of the observability layer: instrumentation
 observes the fluid engine, it never feeds back into the arithmetic.
 Every matrix in ``tests/conftest.py`` is simulated both ways and every
-``SimResult`` field is compared with exact equality -- no tolerances --
-with and without a fault schedule.  The narration of faulted runs (the
-``faults`` track, chunks finished by an heir) is pinned as well.
+``SimResult`` field is compared with exact equality -- no tolerances.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.partition import ExecutionMode
-from repro.faults.schedule import (
-    BandwidthWindow,
-    FaultSchedule,
-    WorkerFailure,
-    WorkerSlowdown,
-)
 from repro.obs import Tracer, use_tracer
-from repro.sim.engine import _instance_labels, simulate, simulate_homogeneous
+from repro.sim.engine import simulate, simulate_homogeneous
 from repro.sim.worker_sim import build_plans
 from repro.core.traits import WorkerKind
 from repro.sparse.tiling import TiledMatrix
 
 MATRIX_FIXTURES = ["tiny_matrix", "small_rmat", "small_uniform", "small_banded"]
+ARCH_FIXTURES = ["spade_sextans_arch", "piuma_arch", "pcie_arch"]
 
 
 def _assignment(tiled, seed=0):
@@ -97,129 +90,64 @@ def test_traced_run_narrates_chunks_and_bandwidth(small_rmat, spade_sextans_arch
     )
 
 
-# ----------------------------------------------------------------------
-# Faulted runs
-# ----------------------------------------------------------------------
-def _schedule(clean, victim=1, fail_at=0.25):
-    """All three event kinds, aimed at the cold group while it runs in
-    the fault-free execution ``clean``."""
-    start = clean.hot.busy_s if clean.mode is ExecutionMode.SERIAL else 0.0
-    span = clean.cold.busy_s
-    return FaultSchedule(
-        [
-            WorkerSlowdown(t_s=start, kind="cold", index=0, factor=2.0),
-            WorkerFailure(t_s=start + fail_at * span, kind="cold", index=victim),
-            BandwidthWindow(t_start_s=start, t_end_s=start + 0.5 * span, factor=0.5),
-        ]
-    )
+def _chunks_with_work(plan):
+    """The chunks with a phase above the engine's epsilon; a chunk of
+    empty phases is skipped without running, so it gets no span."""
+    work = (plan.phase_c > 1e-18) | (plan.phase_b > 1e-18)
+    off = plan.chunk_phase_off.tolist()
+    return [k for k in range(len(off) - 1) if work[off[k] : off[k + 1]].any()]
 
 
-@pytest.mark.parametrize("fixture", MATRIX_FIXTURES)
 @pytest.mark.parametrize("mode", [ExecutionMode.PARALLEL, ExecutionMode.SERIAL])
-def test_tracing_does_not_perturb_faulted_simulate(
-    fixture, mode, request, spade_sextans_arch
-):
+@pytest.mark.parametrize("arch_fixture", ARCH_FIXTURES)
+@pytest.mark.parametrize("fixture", MATRIX_FIXTURES)
+def test_chunk_spans_narrate_each_plan_in_order(fixture, arch_fixture, mode, request):
+    """Each instance's track carries one span per chunk it runs, in chunk
+    order and back to back, from its group's start to the group's busy
+    time, with the chunk's panel, nonzeros and bytes."""
     matrix = request.getfixturevalue(fixture)
-    arch = spade_sextans_arch
+    arch = request.getfixturevalue(arch_fixture)
     tiled = TiledMatrix(matrix, arch.tile_height, arch.tile_width)
     assignment = _assignment(tiled)
-    schedule = _schedule(simulate(arch, tiled, assignment, mode))
+    hot, cold = build_plans(arch, tiled, assignment)
 
-    plain = simulate(arch, tiled, assignment, mode, faults=schedule)
+    plain = simulate(arch, tiled, assignment, mode)
     with use_tracer(Tracer(enabled=True)) as tracer:
-        traced = simulate(arch, tiled, assignment, mode, faults=schedule)
-
-    assert len(tracer) > 0
-    assert plain.faults is not None
+        traced = simulate(arch, tiled, assignment, mode)
     _assert_bit_identical(traced, plain)
-    assert traced == plain  # the FaultSummary included
 
-
-def _faulted_traced_run(small_rmat, arch, mode, victim=1, fail_at=0.25):
-    tiled = TiledMatrix(small_rmat, arch.tile_height, arch.tile_width)
-    assignment = _assignment(tiled)
-    clean = simulate(arch, tiled, assignment, mode)
-    schedule = _schedule(clean, victim, fail_at)
-    with use_tracer(Tracer(enabled=True)) as tracer:
-        result = simulate(arch, tiled, assignment, mode, faults=schedule)
-    return tiled, assignment, clean, result, tracer
-
-
-def test_faults_track_pins_event_names_and_args(small_rmat, spade_sextans_arch):
-    _, _, clean, result, tracer = _faulted_traced_run(
-        small_rmat, spade_sextans_arch, ExecutionMode.PARALLEL
-    )
-    span = clean.cold.busy_s
-    faults = [e for e in tracer.events() if e.track == "faults"]
-    assert all(e.process == "sim" and e.cat == "fault" for e in faults)
-    assert [e.name for e in faults] == [
-        "fault.slowdown",
-        "fault.bandwidth",
-        "fault.failure",
-        "fault.recovery",
-        "fault.bandwidth",
-    ]
-    slowdown, squeeze, failure, recovery, restore = faults
-    assert slowdown.args == {"instance": "cold-0", "factor": 2.0}
-    assert squeeze.args == {"factor": 0.5}
-    assert failure.args == {"instance": "cold-1"}
-    heir = recovery.args["heir"]
-    assert recovery.args == {
-        "dead": "cold-1", "heir": heir, "phases": result.faults.reassigned_phases
-    }
-    assert heir.startswith("cold-") and heir != "cold-1"
-    assert restore.args == {"factor": 1.0}
-    # Each event lands where the schedule put it (the next event edge
-    # caps the fluid interval, so the clock stops there).
-    assert slowdown.ts == squeeze.ts == 0.0
-    assert failure.ts == recovery.ts == pytest.approx(0.25 * span, rel=1e-9)
-    assert restore.ts == pytest.approx(0.5 * span, rel=1e-9)
-    assert result.faults.failed_instances == ("cold-1",)
-
-
-# Late, the slowed straggler's death finds heirs that have finished.
-@pytest.mark.parametrize("victim, fail_at", [(1, 0.25), (0, 0.9)])
-@pytest.mark.parametrize("mode", [ExecutionMode.PARALLEL, ExecutionMode.SERIAL])
-def test_faulted_trace_narrates_chunks_and_inheritance(
-    small_rmat, spade_sextans_arch, mode, victim, fail_at
-):
-    arch = spade_sextans_arch
-    dead = f"cold-{victim}"
-    tiled, assignment, _, result, tracer = _faulted_traced_run(
-        small_rmat, arch, mode, victim, fail_at
-    )
-    hot_plans, cold_plans = build_plans(arch, tiled, assignment)
-    plans = dict(zip(_instance_labels(hot_plans, cold_plans), hot_plans + cold_plans))
-
-    sim_spans = [s for s in tracer.spans() if s.process == "sim"]
-    for span in sim_spans:
-        assert span.ts >= 0.0
-        assert span.end <= result.time_s + 1e-12
-    chunks = [s for s in sim_spans if s.name.startswith("chunk")]
-    (failure,) = [e for e in tracer.events() if e.name == "fault.failure"]
-    (recovery,) = [e for e in tracer.events() if e.name == "fault.recovery"]
-    # The dead instance stops at the failure ...
-    assert all(s.end <= failure.ts for s in chunks if s.track == dead)
-    # ... and its unfinished chunks finish on the heir's track, named and
-    # described by the dead instance's own plan.
-    inherited = [s for s in chunks if s.name.endswith(f" ({dead})")]
-    assert inherited
-    for span in inherited:
-        assert span.track == recovery.args["heir"]
-        assert span.ts >= failure.ts
-        ci = int(span.name[len("chunk"):].split()[0])
-        plan = plans[dead]
-        assert span.args["panel"] == plan.chunk_panel[ci]
-        assert span.args["nnz"] == plan.chunk_nnz[ci]
-        assert span.args["bytes"] == plan.chunk_bytes[ci]
-    # Every chunk is narrated exactly once.
-    assert sum(s.args["bytes"] for s in chunks) == pytest.approx(result.bytes_total)
-    # The clean run's narration is all there too.
-    counters = [c for c in tracer.counters() if c.name == "bandwidth"]
-    assert counters and counters[-1].value == 0.0
-    rebalances = [e for e in tracer.events() if e.name == "rebalance"]
-    assert len(rebalances) == len(result.bandwidth_profile) - (
-        1 if result.merge_time_s > 0 else 0
-    )
-    merges = [s for s in sim_spans if s.name == "merge"]
-    assert len(merges) == (1 if result.merge_time_s > 0 else 0)
+    by_track = {}
+    for span in tracer.spans():
+        if span.process == "sim" and span.name.startswith("chunk"):
+            by_track.setdefault(span.track, []).append(span)
+    # Serial mode starts the cold group when the hot group is done.
+    cold_start = traced.hot.busy_s if mode is ExecutionMode.SERIAL else 0.0
+    tracks = set()
+    for kind, plans, start, stats in (
+        ("hot", hot, 0.0, traced.hot),
+        ("cold", cold, cold_start, traced.cold),
+    ):
+        ends = []
+        for i, plan in enumerate(plans):
+            track = f"{kind}-{i}"
+            spans = by_track.get(track, [])
+            ran = _chunks_with_work(plan)
+            assert [s.name for s in spans] == [f"chunk{k}" for k in ran]
+            assert [s.args for s in spans] == [
+                {
+                    "panel": int(plan.chunk_panel[k]),
+                    "nnz": int(plan.chunk_nnz[k]),
+                    "bytes": float(plan.chunk_bytes[k]),
+                }
+                for k in ran
+            ]
+            if not spans:
+                continue
+            tracks.add(track)
+            assert spans[0].ts == start
+            for prev, span in zip(spans, spans[1:]):
+                assert span.ts == pytest.approx(prev.end, rel=1e-12)
+            ends.append(spans[-1].end)
+        if ends:
+            assert max(ends) == pytest.approx(start + stats.busy_s, rel=1e-12)
+    assert set(by_track) == tracks
