@@ -43,7 +43,7 @@ check incremental plan repair against from-scratch replanning::
 *Tracing* -- profile one simulated execution end to end (docs/tracing.md)
 and emit a Chrome-trace/Perfetto JSON plus a text flamegraph summary::
 
-    hottiles trace pap --arch spade-sextans -o trace.json
+    hottiles trace pap spade-sextans -o trace.json
 
 Experiment runs and the service take ``--trace FILE`` to record their
 whole lifetime into the same format.
@@ -187,7 +187,21 @@ def _experiment_command(argv: List[str]) -> int:
         help="record a Chrome-trace JSON of the whole run (docs/tracing.md)",
     )
     _add_executor_flags(parser)
-    args = parser.parse_args(argv)
+    # Name the unknown experiment or subcommand before complaining about
+    # what follows it: ``hottiles bogus pap`` gets the same hint as a bare
+    # ``hottiles bogus``.  A known name with a stray argument still gets
+    # argparse's own error, as ``parse_args`` would give it.
+    args, extra = parser.parse_known_args(argv)
+    if args.experiment not in EXPERIMENTS and args.experiment not in ("list", "all"):
+        print(
+            f"unknown experiment or subcommand: {args.experiment} -- "
+            f"run 'hottiles list' for experiments; "
+            f"subcommands: {', '.join(SUBCOMMANDS)}",
+            file=sys.stderr,
+        )
+        return 2
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
 
     if args.experiment == "list":
         for name, fn in EXPERIMENTS.items():
@@ -198,16 +212,6 @@ def _experiment_command(argv: List[str]) -> int:
         return 0
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        print(
-            f"unknown experiment or subcommand: {', '.join(unknown)} -- "
-            f"run 'hottiles list' for experiments; "
-            f"subcommands: {', '.join(SUBCOMMANDS)}",
-            file=sys.stderr,
-        )
-        return 2
-
     executor = _executor_from(args)
     with _maybe_tracing(args.trace), use_executor(executor):
         for name in names:

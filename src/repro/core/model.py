@@ -24,6 +24,7 @@ The model follows the paper's two deliberate simplifications (Sec. IV-C):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -150,8 +151,7 @@ class AnalyticalModel:
 
         time_s = np.zeros(n, dtype=np.float64)
         for group in worker.overlap_groups:
-            group_times = np.stack([task_times[t] for t in group])
-            time_s += group_times.max(axis=0)
+            time_s += functools.reduce(np.maximum, (task_times[t] for t in group))
         total_bytes = sum(task_bytes[t] for t in Task)
 
         for arr in (time_s, total_bytes):

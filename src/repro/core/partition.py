@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,10 +106,6 @@ _HEURISTIC_MODE = {
     Heuristic.MIN_BYTE_PARALLEL: ExecutionMode.PARALLEL,
     Heuristic.MIN_BYTE_SERIAL: ExecutionMode.SERIAL,
 }
-
-#: The four cutoff-sweep heuristics; ``BLOCK_SPLIT`` has no fixed mode --
-#: it refines whichever whole-tile candidate scored best.
-_SWEEP_HEURISTICS = [h for h in Heuristic if h in _HEURISTIC_MODE]
 
 #: The keys of the eight per-tile cost arrays (hot/cold x base/first x
 #: time/bytes) that :func:`_cost_table` produces.
@@ -219,9 +215,11 @@ def _first_masks(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`first_of_type_masks` over an explicit panel-id array.
 
-    Used directly when scoring split candidates, whose expanded tilings
-    exist only as arrays (the split tile contributes two entries sharing
-    one panel id).
+    ``panels`` must be non-decreasing, as ``TiledMatrix.stats.tile_row``
+    is and as a split candidate's expanded panels are (the split tile's
+    two parts repeat its panel id in place).  The panel ids of one type's
+    tiles are then non-decreasing too, so its first tile in each panel is
+    simply where that id changes: a segment boundary, found without a sort.
     """
     n = panels.shape[0]
     hot_first = np.zeros(n, dtype=bool)
@@ -229,8 +227,11 @@ def _first_masks(
     for mask, out in ((assignment, hot_first), (~assignment, cold_first)):
         idx = np.flatnonzero(mask)
         if idx.size:
-            _, first = np.unique(panels[idx], return_index=True)
-            out[idx[first]] = True
+            ids = panels[idx]
+            starts = np.empty(idx.size, dtype=bool)
+            starts[0] = True
+            np.not_equal(ids[1:], ids[:-1], out=starts[1:])
+            out[idx[starts]] = True
     return hot_first, cold_first
 
 
@@ -296,19 +297,16 @@ class HotTilesPartitioner:
 
         One assignment needs only its own masks, so this models them
         directly (two model calls) instead of building the four-variant
-        table; the sums and the scorer are the search's own.
+        table; the sums and the scorer are the search's own
+        (:func:`_score_modes`).
         """
         assignment = np.asarray(assignment, dtype=bool)
         hot_first, cold_first = first_of_type_masks(tiled, assignment)
         hot = self.model.tile_costs(tiled, self.arch.hot.traits, first_mask=hot_first)
         cold = self.model.tile_costs(tiled, self.arch.cold.traits, first_mask=cold_first)
-        totals = _sum_totals(
-            self.arch, assignment, mode, tiled.matrix.n_rows,
-            hot.time_s, hot.bytes, cold.time_s, cold.bytes,
-        )
-        time_s, _naive = _evaluate_totals(
-            self, totals, mode, hot.time_s, cold.time_s,
-            tiled.stats.uniq_rids, tiled.stats.tile_row, assignment,
+        [(time_s, _naive, totals)] = _score_modes(
+            self, assignment, (hot.time_s, hot.bytes, cold.time_s, cold.bytes),
+            tiled.stats.uniq_rids, tiled.stats.tile_row, tiled.matrix.n_rows, [mode],
         )
         return time_s, totals
 
@@ -331,44 +329,50 @@ def _search(
     a block split, and keeps the minimum.  The result depends only on the
     table's values, so a table composed from a repair cache gives exactly
     the plan a freshly modeled one does.
+
+    Each sort key is sorted once: the two MinTime sweeps share one order
+    and its prefix and suffix sums.  The two MinByte heuristics share the
+    order and the objective, hence the cutoff, so their one assignment is
+    scored once in both modes.
     """
     arch = partitioner.arch
     n = tiled.n_tiles
     if arch.hot.count == 0 or arch.cold.count == 0:
         assignment = np.full(n, arch.cold.count == 0, dtype=bool)
-        chosen = _score_from_table(
-            partitioner, tiled, table, assignment, ExecutionMode.PARALLEL, "homogeneous"
+        [chosen] = _score_table(
+            partitioner, tiled, table, assignment,
+            [("homogeneous", ExecutionMode.PARALLEL)],
         )
         return HotTilesResult(chosen=chosen, candidates={})
 
     n_hw, n_cw = arch.hot.count, arch.cold.count
-    heuristics = _SWEEP_HEURISTICS
-    if arch.atomic_updates:
-        # No output buffers to merge: serial operation can never win
-        # under the model (Sec. V-B), so only Parallel heuristics run.
-        heuristics = [Heuristic.MIN_TIME_PARALLEL, Heuristic.MIN_BYTE_PARALLEL]
-
     h_time, c_time = table["hot_base_time"], table["cold_base_time"]
     h_bytes, c_bytes = table["hot_base_bytes"], table["cold_base_bytes"]
+    time_order = np.argsort(h_time - c_time, kind="stable")
+    prefix_hot = _prefix(h_time[time_order] / n_hw)
+    suffix_cold = _suffix(c_time[time_order] / n_cw)
+    byte_order = np.argsort(h_bytes - c_bytes, kind="stable")
+    byte_objective = _prefix(h_bytes[byte_order]) + _suffix(c_bytes[byte_order])
+    sweeps = [
+        ([Heuristic.MIN_TIME_PARALLEL], time_order, np.maximum(prefix_hot, suffix_cold)),
+        ([Heuristic.MIN_TIME_SERIAL], time_order, prefix_hot + suffix_cold),
+        ([Heuristic.MIN_BYTE_PARALLEL, Heuristic.MIN_BYTE_SERIAL], byte_order, byte_objective),
+    ]
     candidates: Dict[Heuristic, PartitionResult] = {}
-    for heuristic in heuristics:
-        if heuristic in (Heuristic.MIN_TIME_PARALLEL, Heuristic.MIN_TIME_SERIAL):
-            order = np.argsort(h_time - c_time, kind="stable")
-            prefix_hot = _prefix(h_time[order] / n_hw)
-            suffix_cold = _suffix(c_time[order] / n_cw)
-            if heuristic is Heuristic.MIN_TIME_PARALLEL:
-                objective = np.maximum(prefix_hot, suffix_cold)
-            else:
-                objective = prefix_hot + suffix_cold
-        else:
-            order = np.argsort(h_bytes - c_bytes, kind="stable")
-            objective = _prefix(h_bytes[order]) + _suffix(c_bytes[order])
+    for group, order, objective in sweeps:
+        if arch.atomic_updates:
+            # No output buffers to merge: serial operation can never win
+            # under the model (Sec. V-B), so only Parallel heuristics run.
+            group = [h for h in group if _HEURISTIC_MODE[h] is ExecutionMode.PARALLEL]
+        if not group:
+            continue
         assignment = np.zeros(n, dtype=bool)
         assignment[order[: _cutoff_sweep(objective)]] = True
-        candidates[heuristic] = _score_from_table(
+        results = _score_table(
             partitioner, tiled, table, assignment,
-            _HEURISTIC_MODE[heuristic], heuristic.value,
+            [(h.value, _HEURISTIC_MODE[h]) for h in group],
         )
+        candidates.update(zip(group, results))
     base = min(candidates.values(), key=lambda r: r.predicted_time_s)
     candidates[Heuristic.BLOCK_SPLIT] = _block_split_candidate(
         partitioner, tiled, table, base
@@ -502,7 +506,8 @@ def exhaustive_partition(
     mode = modes[k % len(modes)]
     # Re-score the winner through the single-candidate path so the
     # returned time and totals are exactly what predicted_runtime reports.
-    return _score_from_table(partitioner, tiled, table, assignment, mode, "exhaustive")
+    [result] = _score_table(partitioner, tiled, table, assignment, [("exhaustive", mode)])
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -680,118 +685,112 @@ def repair_plan(
     )
 
 
-def _score_from_table(
+#: One assignment's first-of-type readjusted per-tile arrays: hot time,
+#: hot bytes, cold time, cold bytes.
+_PerTile = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _compose(
+    table: Dict[str, np.ndarray], hot_first: np.ndarray, cold_first: np.ndarray
+) -> _PerTile:
+    """Pick each tile's ``first`` or ``base`` variant by its first-of-type flag.
+
+    The model works per tile, element by element, so this reproduces
+    exactly what it returns for the same first-of-type masks.
+    """
+    return (
+        np.where(hot_first, table["hot_first_time"], table["hot_base_time"]),
+        np.where(hot_first, table["hot_first_bytes"], table["hot_base_bytes"]),
+        np.where(cold_first, table["cold_first_time"], table["cold_base_time"]),
+        np.where(cold_first, table["cold_first_bytes"], table["cold_base_bytes"]),
+    )
+
+
+def _score_modes(
+    partitioner: HotTilesPartitioner,
+    assignment: np.ndarray,
+    per_tile: _PerTile,
+    uniq_rids: np.ndarray,
+    panels: np.ndarray,
+    n_rows: int,
+    modes: Sequence[ExecutionMode],
+) -> List[Tuple[float, float, PredictedTotals]]:
+    """``(scorer time, naive time, totals)`` of one assignment in each mode.
+
+    The one scorer of every candidate.  Only ``t_merge`` and the serial
+    flag depend on the mode, so the four group sums and the contention
+    scorer's granularity floors are computed once for all ``modes``.
+    Works on arrays alone, so split candidates -- whose expanded tilings
+    exist only as arrays -- score through the same arithmetic.
+    """
+    arch = partitioner.arch
+    ht, hb, ct, cb = per_tile
+    cold = ~assignment
+    any_hot = bool(assignment.any())
+    any_cold = bool(cold.any())
+    th_total = float(ht[assignment].sum()) / arch.hot.count if any_hot else 0.0
+    tc_total = float(ct[cold].sum()) / arch.cold.count if any_cold else 0.0
+    bh_total = float(hb[assignment].sum()) if any_hot else 0.0
+    bc_total = float(cb[cold].sum()) if any_cold else 0.0
+    floors = None
+    if partitioner._contended():
+        floors = contention.group_floors(arch, ht, ct, uniq_rids, panels, assignment)
+    scores = []
+    for mode in modes:
+        serial = mode is ExecutionMode.SERIAL
+        t_merge = 0.0
+        if not serial and any_hot and any_cold:
+            t_merge = arch.merge_time_s(n_rows)
+        totals = PredictedTotals(th_total, tc_total, bh_total, bc_total, t_merge)
+        naive_s = contention.naive_runtime(arch, totals, serial)
+        time_s = naive_s
+        if floors is not None:
+            time_s = contention.contended_runtime(
+                arch, totals, serial, hot_floor=floors[0], cold_floor=floors[1]
+            )
+        scores.append((time_s, naive_s, totals))
+    return scores
+
+
+def _score_table(
     partitioner: HotTilesPartitioner,
     tiled: TiledMatrix,
     table: Dict[str, np.ndarray],
     assignment: np.ndarray,
-    mode: ExecutionMode,
-    label: str,
-) -> PartitionResult:
-    """Score one assignment of ``tiled`` from its cost table.
+    labeled_modes: Sequence[Tuple[str, ExecutionMode]],
+) -> List[PartitionResult]:
+    """One candidate per ``(label, mode)`` for one assignment of ``tiled``.
 
-    Bit-equal to :meth:`HotTilesPartitioner.predicted_runtime`: the model
-    works per tile, element by element, so picking the ``base`` or
-    ``first`` variant per tile reproduces exactly what the model returns
-    for the assignment-derived first-of-type masks.
+    Bit-equal to :meth:`HotTilesPartitioner.predicted_runtime` in each
+    mode: the table's variants, picked by the assignment's first-of-type
+    masks, are exactly what the model returns for those masks.
     """
-    totals, hot_times, cold_times = _table_totals_with_times(
-        partitioner.arch, table, tiled.stats.tile_row, assignment, mode,
-        tiled.matrix.n_rows,
+    panels = tiled.stats.tile_row
+    per_tile = _compose(table, *_first_masks(panels, assignment))
+    scores = _score_modes(
+        partitioner, assignment, per_tile, tiled.stats.uniq_rids, panels,
+        tiled.matrix.n_rows, [mode for _, mode in labeled_modes],
     )
-    time_s, naive_s = _evaluate_totals(
-        partitioner, totals, mode, hot_times, cold_times,
-        tiled.stats.uniq_rids, tiled.stats.tile_row, assignment,
-    )
-    return PartitionResult(
-        label=label,
-        assignment=assignment,
-        mode=mode,
-        predicted_time_s=time_s,
-        totals=totals,
-        naive_time_s=naive_s,
-        scorer=partitioner.scorer,
-    )
-
-
-def _evaluate_totals(
-    partitioner: HotTilesPartitioner,
-    totals: PredictedTotals,
-    mode: ExecutionMode,
-    hot_times: np.ndarray,
-    cold_times: np.ndarray,
-    uniq_rids: np.ndarray,
-    panels: np.ndarray,
-    assignment: np.ndarray,
-) -> Tuple[float, float]:
-    """``(scorer time, naive time)`` for totals backed by per-tile arrays."""
-    arch = partitioner.arch
-    serial = mode is ExecutionMode.SERIAL
-    naive_s = contention.naive_runtime(arch, totals, serial)
-    if not partitioner._contended():
-        return naive_s, naive_s
-    hot_floor, cold_floor = contention.group_floors(
-        arch, hot_times, cold_times, uniq_rids, panels, assignment
-    )
-    time_s = contention.contended_runtime(
-        arch, totals, serial, hot_floor=hot_floor, cold_floor=cold_floor
-    )
-    return time_s, naive_s
-
-
-def _table_totals_with_times(
-    arch: Architecture,
-    table: Dict[str, np.ndarray],
-    panels: np.ndarray,
-    assignment: np.ndarray,
-    mode: ExecutionMode,
-    n_rows: int,
-) -> Tuple[PredictedTotals, np.ndarray, np.ndarray]:
-    """Readjusted totals for an assignment over an explicit cost table.
-
-    Works on arrays alone (no tiling object) so split candidates -- whose
-    expanded tilings exist only as arrays -- score through the exact same
-    arithmetic as whole-tile candidates.  Also returns the composed
-    per-tile hot/cold time arrays, which the contention scorer's
-    granularity floors consume.
-    """
-    hot_first, cold_first = _first_masks(panels, assignment)
-    ht = np.where(hot_first, table["hot_first_time"], table["hot_base_time"])
-    hb = np.where(hot_first, table["hot_first_bytes"], table["hot_base_bytes"])
-    ct = np.where(cold_first, table["cold_first_time"], table["cold_base_time"])
-    cb = np.where(cold_first, table["cold_first_bytes"], table["cold_base_bytes"])
-    totals = _sum_totals(arch, assignment, mode, n_rows, ht, hb, ct, cb)
-    return totals, ht, ct
-
-
-def _sum_totals(
-    arch: Architecture,
-    assignment: np.ndarray,
-    mode: ExecutionMode,
-    n_rows: int,
-    ht: np.ndarray,
-    hb: np.ndarray,
-    ct: np.ndarray,
-    cb: np.ndarray,
-) -> PredictedTotals:
-    """Group totals from readjusted per-tile hot/cold times and bytes."""
-    any_hot = bool(assignment.any())
-    any_cold = bool((~assignment).any())
-    t_merge = 0.0
-    if mode is ExecutionMode.PARALLEL and any_hot and any_cold:
-        t_merge = arch.merge_time_s(n_rows)
-    return PredictedTotals(
-        th_total=float(ht[assignment].sum()) / arch.hot.count if any_hot else 0.0,
-        tc_total=float(ct[~assignment].sum()) / arch.cold.count if any_cold else 0.0,
-        bh_total=float(hb[assignment].sum()) if any_hot else 0.0,
-        bc_total=float(cb[~assignment].sum()) if any_cold else 0.0,
-        t_merge=t_merge,
-    )
+    return [
+        PartitionResult(
+            label=label,
+            assignment=assignment,
+            mode=mode,
+            predicted_time_s=time_s,
+            totals=totals,
+            naive_time_s=naive_s,
+            scorer=partitioner.scorer,
+        )
+        for (label, mode), (time_s, naive_s, totals) in zip(labeled_modes, scores)
+    ]
 
 
 class _SplitPartsView:
-    """Model view of the two row-blocks of one split tile.
+    """Model view of the two row-blocks of one tile, for each of some cuts.
 
+    ``cuts`` are hot prefix lengths; cut ``k``'s hot and cold row-blocks
+    are view rows ``2k`` and ``2k + 1``, so one model call covers every
+    cut.
     :meth:`AnalyticalModel.tile_costs` touches ``stats``, the tile
     dimensions, ``matrix`` (shape), and the effective heights -- which for
     sub-tiles are row-range extents carried in ``tile_eff_heights`` (see
@@ -802,112 +801,112 @@ class _SplitPartsView:
 
     __slots__ = ("stats", "tile_height", "tile_width", "matrix", "tile_eff_heights")
 
-    def __init__(self, tiled: TiledMatrix, tile: int, hot_nnz: int) -> None:
+    def __init__(self, tiled: TiledMatrix, tile: int, cuts: Sequence[int]) -> None:
         s = tiled.stats
         lo = int(tiled.tile_offsets[tile])
         hi = int(tiled.tile_offsets[tile + 1])
-        # Degenerate cuts must be rejected here, not just downstream:
-        # with hot_nnz == 0 or == the tile's nnz, ``tiled.rows[lo + hot_nnz]``
-        # would read the *next* tile's first row -- or past the array on
-        # the last tile -- and silently produce garbage part heights.
-        if not 0 < hot_nnz < hi - lo:
-            raise ValueError(
-                f"degenerate split of tile {tile}: hot_nnz must be in "
-                f"(0, {hi - lo}), got {hot_nnz}"
-            )
-        cut = lo + hot_nnz
-        rows_a, rows_b = tiled.rows[lo:cut], tiled.rows[cut:hi]
-        cols_a, cols_b = tiled.cols[lo:cut], tiled.cols[cut:hi]
+        rows, cols = tiled.rows[lo:hi], tiled.cols[lo:hi]
         panel = int(s.tile_row[tile])
+        panel_start = panel * tiled.tile_height
+        eff = min(tiled.tile_height, tiled.matrix.n_rows - panel_start)
+        nnz, uniq_rids, uniq_cids, heights = [], [], [], []
+        for hot_nnz in cuts:
+            # Degenerate cuts must be rejected here, not just downstream:
+            # with hot_nnz == 0 or == the tile's nnz, ``rows[hot_nnz]``
+            # would read the *next* tile's first row -- or past the array
+            # on the last tile -- and silently produce garbage part heights.
+            if not 0 < hot_nnz < hi - lo:
+                raise ValueError(
+                    f"degenerate split of tile {tile}: hot_nnz must be in "
+                    f"(0, {hi - lo}), got {hot_nnz}"
+                )
+            row_cut = int(rows[hot_nnz])
+            nnz += [hot_nnz, hi - lo - hot_nnz]
+            uniq_rids += [np.unique(rows[:hot_nnz]).size, np.unique(rows[hot_nnz:]).size]
+            uniq_cids += [np.unique(cols[:hot_nnz]).size, np.unique(cols[hot_nnz:]).size]
+            heights += [row_cut - panel_start, panel_start + eff - row_cut]
         self.stats = TileStats(
-            tile_row=np.array([panel, panel], dtype=s.tile_row.dtype),
-            tile_col=np.array([s.tile_col[tile]] * 2, dtype=s.tile_col.dtype),
-            nnz=np.array([hot_nnz, hi - lo - hot_nnz], dtype=s.nnz.dtype),
-            uniq_rids=np.array(
-                [np.unique(rows_a).size, np.unique(rows_b).size], dtype=s.uniq_rids.dtype
-            ),
-            uniq_cids=np.array(
-                [np.unique(cols_a).size, np.unique(cols_b).size], dtype=s.uniq_cids.dtype
-            ),
+            tile_row=np.full(len(nnz), panel, dtype=s.tile_row.dtype),
+            tile_col=np.full(len(nnz), s.tile_col[tile], dtype=s.tile_col.dtype),
+            nnz=np.array(nnz, dtype=s.nnz.dtype),
+            uniq_rids=np.array(uniq_rids, dtype=s.uniq_rids.dtype),
+            uniq_cids=np.array(uniq_cids, dtype=s.uniq_cids.dtype),
         )
         self.tile_height = tiled.tile_height
         self.tile_width = tiled.tile_width
         self.matrix = tiled.matrix
-        panel_start = panel * tiled.tile_height
-        eff = min(tiled.tile_height, tiled.matrix.n_rows - panel_start)
-        row_cut = int(tiled.rows[cut])
-        self.tile_eff_heights = np.array(
-            [row_cut - panel_start, panel_start + eff - row_cut], dtype=np.float64
-        )
+        self.tile_eff_heights = np.array(heights, dtype=np.float64)
 
 
-def _score_split(
+def _score_splits(
     partitioner: HotTilesPartitioner,
     tiled: TiledMatrix,
     table: Dict[str, np.ndarray],
     assignment: np.ndarray,
     tile: int,
-    hot_nnz: int,
-) -> PartitionResult:
-    """Exactly score one split candidate with the final-runtime formulas.
+    cuts: Sequence[int],
+) -> List[PartitionResult]:
+    """Exactly score splitting tile ``tile`` at each of ``cuts``.
 
-    The split tiling is the original tiling with tile ``tile`` replaced by
-    its two row-blocks (prefix hot, suffix cold); its cost table is the
-    whole-tile table with that row replaced by two freshly modeled rows.
-    Both execution modes are scored (parallel only on atomic machines) and
-    the better one kept.
+    A split tiling is the original tiling with tile ``tile`` replaced by
+    its two row-blocks: the hot prefix at ``tile``, the cold suffix at
+    ``tile + 1``.  Every cut shares that expanded tiling's panels,
+    assignment and first-of-type masks, and every composed row except the
+    two parts', so those are built once.  One cost table models all cuts'
+    parts; each cut patches its two rows and is scored in both execution
+    modes (parallel only on atomic machines), keeping the better.
     """
     arch = partitioner.arch
-    lo = int(tiled.tile_offsets[tile])
-    hi = int(tiled.tile_offsets[tile + 1])
-    view = _SplitPartsView(tiled, tile, hot_nnz)  # rejects degenerate cuts
-    fresh = _cost_table(partitioner, view, 2)
-    ext = {
-        name: np.concatenate([table[name][:tile], fresh[name], table[name][tile + 1 :]])
-        for name in _TABLE_NAMES
-    }
+    view = _SplitPartsView(tiled, tile, cuts)  # rejects degenerate cuts
+    parts = _cost_table(partitioner, view, view.stats.n_tiles)
     s = tiled.stats
-    panels = s.tile_row
-    ext_panels = np.concatenate(
-        [panels[:tile], panels[tile : tile + 1], panels[tile:]]
-    )
-    ext_uniq = np.concatenate(
-        [s.uniq_rids[:tile], view.stats.uniq_rids, s.uniq_rids[tile + 1 :]]
-    )
+    ext_panels = np.insert(s.tile_row, tile, s.tile_row[tile])
+    ext_uniq = np.insert(s.uniq_rids, tile, s.uniq_rids[tile])
     ext_assignment = np.concatenate(
         [assignment[:tile], [True, False], assignment[tile + 1 :]]
     )
+    hot_first, cold_first = _first_masks(ext_panels, ext_assignment)
+    ext_table = {name: np.insert(col, tile, col[tile]) for name, col in table.items()}
+    per_tile = _compose(ext_table, hot_first, cold_first)
+    pair = slice(tile, tile + 2)
     modes = [ExecutionMode.PARALLEL]
     if not arch.atomic_updates:
         modes.append(ExecutionMode.SERIAL)
-    best: Optional[Tuple[float, float, PredictedTotals, ExecutionMode]] = None
-    for mode in modes:
-        totals, hot_times, cold_times = _table_totals_with_times(
-            arch, ext, ext_panels, ext_assignment, mode, tiled.matrix.n_rows
-        )
-        time_s, naive_s = _evaluate_totals(
-            partitioner, totals, mode, hot_times, cold_times,
-            ext_uniq, ext_panels, ext_assignment,
-        )
-        if best is None or time_s < best[0]:
-            best = (time_s, naive_s, totals, mode)
+    lo = int(tiled.tile_offsets[tile])
+    nnz_j = int(tiled.tile_offsets[tile + 1]) - lo
     final_assignment = assignment.copy()
     final_assignment[tile] = True
-    return PartitionResult(
-        label=Heuristic.BLOCK_SPLIT.value,
-        assignment=final_assignment,
-        mode=best[3],
-        predicted_time_s=best[0],
-        totals=best[2],
-        naive_time_s=best[1],
-        scorer=partitioner.scorer,
-        split=TileSplit(
-            tile=tile,
-            hot_nnz=hot_nnz,
-            cold_nnz=(hi - lo) - hot_nnz,
-            row_cut=int(tiled.rows[lo + hot_nnz]),
-        ),
-    )
+    results = []
+    for k, hot_nnz in enumerate(cuts):
+        rows = slice(2 * k, 2 * k + 2)
+        part_table = {name: col[rows] for name, col in parts.items()}
+        for arr, part in zip(per_tile, _compose(part_table, hot_first[pair], cold_first[pair])):
+            arr[pair] = part
+        ext_uniq[pair] = view.stats.uniq_rids[rows]
+        scores = _score_modes(
+            partitioner, ext_assignment, per_tile, ext_uniq, ext_panels,
+            tiled.matrix.n_rows, modes,
+        )
+        # min keeps the first of tied times: parallel unless serial is
+        # strictly faster.
+        best = min(range(len(modes)), key=lambda i: scores[i][0])
+        time_s, naive_s, totals = scores[best]
+        results.append(PartitionResult(
+            label=Heuristic.BLOCK_SPLIT.value,
+            assignment=final_assignment,
+            mode=modes[best],
+            predicted_time_s=time_s,
+            totals=totals,
+            naive_time_s=naive_s,
+            scorer=partitioner.scorer,
+            split=TileSplit(
+                tile=tile,
+                hot_nnz=hot_nnz,
+                cold_nnz=nnz_j - hot_nnz,
+                row_cut=int(tiled.rows[lo + hot_nnz]),
+            ),
+        ))
+    return results
 
 
 def _block_split_candidate(
@@ -983,8 +982,7 @@ def _block_split_candidate(
     probes = {cut for cut in probes if 0 < cut < nnz_j}
 
     best: Optional[PartitionResult] = None
-    for cut in sorted(probes):
-        result = _score_split(partitioner, tiled, table, assignment, tile, cut)
+    for result in _score_splits(partitioner, tiled, table, assignment, tile, sorted(probes)):
         if best is None or result.predicted_time_s < best.predicted_time_s:
             best = result
     # The comparison runs under the partitioner's active scorer (both

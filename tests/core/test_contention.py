@@ -230,19 +230,24 @@ class TestDegenerateCutGuard:
 
     def test_zero_cut_rejected(self, tiled):
         with pytest.raises(ValueError, match="degenerate split"):
-            _SplitPartsView(tiled, 0, 0)
+            _SplitPartsView(tiled, 0, [0])
 
     def test_whole_tile_cut_rejected(self, tiled):
         nnz = int(tiled.tile_offsets[1] - tiled.tile_offsets[0])
         with pytest.raises(ValueError, match="degenerate split"):
-            _SplitPartsView(tiled, 0, nnz)
+            _SplitPartsView(tiled, 0, [nnz])
 
     def test_whole_tile_cut_on_last_tile_rejected(self, tiled):
         last = tiled.n_tiles - 1
         nnz = int(tiled.tile_offsets[last + 1] - tiled.tile_offsets[last])
         with pytest.raises(ValueError, match="degenerate split"):
-            _SplitPartsView(tiled, last, nnz)
+            _SplitPartsView(tiled, last, [nnz])
+
+    def test_degenerate_cut_among_several_rejected(self, tiled):
+        nnz = int(tiled.tile_offsets[1] - tiled.tile_offsets[0])
+        with pytest.raises(ValueError, match="degenerate split"):
+            _SplitPartsView(tiled, 0, [2, nnz])
 
     def test_interior_cut_accepted(self, tiled):
-        view = _SplitPartsView(tiled, tiled.n_tiles - 1, 2)
+        view = _SplitPartsView(tiled, tiled.n_tiles - 1, [2])
         assert int(view.stats.nnz.sum()) == 4

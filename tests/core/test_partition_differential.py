@@ -12,9 +12,12 @@ floats and byte-equality on arrays, no tolerances.
 
 Covered: the chosen plan and every candidate (label, mode, assignment
 bytes and dtype, predicted and naive times, scorer, totals, split),
-``predicted_runtime`` on every candidate assignment, ``predict_homogeneous``,
-``exhaustive_partition`` on tilings of at most 12 tiles, the
-``plan_cache_from`` arrays, and three-step ``repair_plan`` chains.
+every cut the block split probes, winning or not (against the frozen
+one-cut ``_score_split``, on the conftest matrices and the skew-heavy
+one), ``predicted_runtime`` on every candidate assignment,
+``predict_homogeneous``, ``exhaustive_partition`` on tilings of at most
+12 tiles, the ``plan_cache_from`` arrays, and three-step ``repair_plan``
+chains.
 Inputs: a hypothesis fuzz over R-MAT, uniform and banded matrices, a
 block-split case, and the degenerate matrices (0x0, empty, one nonzero,
 one dense row, one dense column, one tile), each on six architectures and
@@ -249,9 +252,59 @@ def test_block_split_case(skew, arch, contention_aware):
     check_everything(skew, ARCHS[arch], contention_aware, seed=3)
 
 
+PROBE_ARCHS = ["spade-sextans", "spade-sextans-pcie", "piuma"]
+PROBE_MATRICES = [
+    "small_rmat", "small_banded", "small_mycielskian", "small_dense_blocks",
+    "small_community", "skew",
+]
+
+
+@pytest.mark.parametrize("contention_aware", CONTENTION_AWARE)
+@pytest.mark.parametrize("arch", PROBE_ARCHS)
+@pytest.mark.parametrize("matrix", PROBE_MATRICES)
+def test_every_probed_cut_matches_frozen_split_scorer(
+    request, monkeypatch, matrix, arch, contention_aware
+):
+    # A probe's score reaches a partition only when its split wins.  Here
+    # every cut the block split probes, winning or not, is scored by the
+    # shared-table scorer and by the frozen one-cut scorer, and the two
+    # candidates must agree field by field.  Both versions must also probe
+    # the same tile at the same cuts.
+    arch = ARCHS[arch]
+    tiled = TiledMatrix(
+        request.getfixturevalue(matrix), arch.tile_height, arch.tile_width
+    )
+    got_p = new.HotTilesPartitioner(arch, contention_aware=contention_aware)
+    want_p = ref.HotTilesPartitioner(arch, contention_aware=contention_aware)
+    probed, want_probed = [], []
+    score_splits, score_split = new._score_splits, ref._score_split
+
+    def recording(partitioner, tiled_, table, assignment, tile, cuts):
+        results = score_splits(partitioner, tiled_, table, assignment, tile, cuts)
+        probed.append((table, assignment, tile, list(cuts), results))
+        return results
+
+    def want_recording(partitioner, tiled_, table, assignment, tile, cut):
+        want_probed.append((tile, cut))
+        return score_split(partitioner, tiled_, table, assignment, tile, cut)
+
+    monkeypatch.setattr(new, "_score_splits", recording)
+    monkeypatch.setattr(ref, "_score_split", want_recording)
+    got_p.partition(tiled)
+    want_p.partition(tiled)
+    [(table, assignment, tile, cuts, results)] = probed
+    assert [(tile, cut) for cut in cuts] == want_probed
+    assert len(results) == len(cuts) > 0
+    for cut, got in zip(cuts, results):
+        assert_same_result(
+            got, score_split(want_p, tiled, table, assignment, tile, cut)
+        )
+
+
 def test_partition_models_four_arrays_per_tiling(monkeypatch, small_rmat):
-    # Four model calls per partition: the cost table, nothing per candidate
-    # (the block split's two-row part tables are the only other calls).
+    # Four model calls over the tiling: the cost table, nothing per
+    # candidate.  The block split's probes share one table of their parts:
+    # at most four more calls, each with two rows per probed cut.
     arch = ARCHS["spade-sextans"]
     partitioner = new.HotTilesPartitioner(arch)
     tiled = TiledMatrix(small_rmat, arch.tile_height, arch.tile_width)
@@ -264,5 +317,7 @@ def test_partition_models_four_arrays_per_tiling(monkeypatch, small_rmat):
 
     monkeypatch.setattr(partitioner.model, "tile_costs", counting)
     partitioner.partition(tiled)
-    assert sizes.count(tiled.n_tiles) == 4
-    assert all(size == 2 for size in sizes if size != tiled.n_tiles)
+    assert sizes[:4] == [tiled.n_tiles] * 4
+    parts = sizes[4:]
+    assert len(parts) <= 4
+    assert all(size > 0 and size % 2 == 0 for size in parts)

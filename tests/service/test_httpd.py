@@ -136,6 +136,7 @@ class TestErrorMapping:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=10)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_protocol_error_400(self, live_server):
@@ -149,6 +150,7 @@ class TestErrorMapping:
         req = urllib.request.Request(base + "/plan", data=b"", method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=10)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_plan_failure_500(self, live_server):
@@ -286,3 +288,4 @@ class TestEphemeralPortReporting:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()

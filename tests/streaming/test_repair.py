@@ -141,7 +141,8 @@ class TestDeltaReplayExperiment:
 
         result = delta_replay(small_uniform, steps=2, seed=1, label="uniform")
         path = result.save_json(str(tmp_path / "replay.json"))
-        data = json.loads(open(path).read())
+        with open(path) as f:
+            data = json.loads(f.read())
         assert data["passes"] is True
         assert len(data["rows"]) == 2
         assert data["rows"][0]["bit_identical"] is True

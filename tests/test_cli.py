@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import pytest
+
 from repro.cli import EXPERIMENTS, SUBCOMMANDS, main
 
 
@@ -162,6 +164,23 @@ class TestVersionAndUnknown:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "serve" in err and "cache" in err
+
+    def test_unknown_name_with_arguments_gets_the_same_hint(self, capsys):
+        # The name is reported, not the argument after it.
+        for argv in (["bogus", "pap"], ["simulate", "pap", "--seed", "3"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith(f"unknown experiment or subcommand: {argv[0]} --")
+            assert "unrecognized arguments" not in err
+
+    def test_known_experiment_with_stray_argument_keeps_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig18", "pap"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: pap" in err
+        assert "unknown experiment" not in err
 
     def test_new_subcommands_listed(self, capsys):
         assert main(["list"]) == 0
