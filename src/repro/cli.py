@@ -25,14 +25,10 @@ MatrixMarket file, exactly what the paper's host-side framework does
 (see docs/service.md) and drive it::
 
     hottiles serve [--port 8750] [--workers 2] [--queue-depth 16]
-    hottiles serve --cluster 4 [--port 0]      # sharded multi-process cluster
-    hottiles loadgen [--requests 200] [--concurrency 8]
-    hottiles loadgen --cluster [--json report.json]  # per-shard latency
+    hottiles loadgen [--requests 200] [--concurrency 8] [--json report.json]
 
-``serve --cluster N`` (docs/cluster.md) runs N planner shard processes
-behind an asyncio router that consistent-hashes on matrix digest, so
-plan caching, coalescing, and delta lineages stay shard-local; ``--port
-0`` binds an ephemeral port, reported as a ``port=`` token on stdout.
+``--port 0`` binds an ephemeral port, reported as a ``port=`` token on
+stdout; SIGTERM or SIGINT drains in-flight plans, then exits 0.
 
 *Streaming* (docs/streaming.md) -- replay a seeded delta stream and
 check incremental plan repair against from-scratch replanning::
@@ -501,14 +497,6 @@ def _serve_command(argv: List[str]) -> int:
         "--port", type=int, default=8750, help="bind port (0 = ephemeral)"
     )
     parser.add_argument(
-        "--cluster",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run N planner shard processes behind a digest-affinity router "
-        "instead of one in-process service (docs/cluster.md)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=2, help="plan worker threads (default: 2)"
     )
     parser.add_argument(
@@ -553,9 +541,6 @@ def _serve_command(argv: List[str]) -> int:
     args = parser.parse_args(argv)
 
     _drain_on_sigterm()
-    if args.cluster:
-        return _serve_cluster(args)
-
     store = PlanStore(args.store_dir, max_bytes=args.store_max_bytes)
     service = PlanService(
         store=store,
@@ -608,57 +593,6 @@ def _drain_on_sigterm() -> None:
         pass  # not the main thread (embedded use); caller handles signals
 
 
-def _serve_cluster(args: argparse.Namespace) -> int:
-    """``hottiles serve --cluster N`` (docs/cluster.md)."""
-    import threading
-
-    from repro.cluster.manager import ClusterManager
-    from repro.service.store import PlanStore
-
-    if args.cluster < 1:
-        raise SystemExit("--cluster must be >= 1")
-    # Resolve the shared store directory once so every shard gets the
-    # same content-addressed tree (the default is per-user cache dir).
-    store_dir = PlanStore(args.store_dir, max_bytes=args.store_max_bytes).store_dir
-
-    def log(line: str) -> None:
-        print(line, flush=True)
-
-    manager = ClusterManager(
-        shards=args.cluster,
-        store_dir=str(store_dir),
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        timeout_s=args.timeout,
-        degraded_fallback=not args.no_degraded_fallback,
-        log=log,
-    )
-    manager.start()
-    try:
-        port = manager.bound_port
-        print(
-            f"hottiles plan cluster on {manager.base_url} port={port} "
-            f"({args.cluster} shards x {args.workers} workers, "
-            f"store {store_dir})",
-            flush=True,
-        )
-        for row in manager.describe()["shards"]:
-            print(
-                f"cluster shard={row['shard']} port={row['port']} "
-                f"pid={row['pid']}",
-                flush=True,
-            )
-        try:
-            threading.Event().wait()
-        except KeyboardInterrupt:
-            print("\ndraining shards...", flush=True)
-    finally:
-        manager.stop()
-    return 0
-
-
 def _loadgen_command(argv: List[str]) -> int:
     from repro.service.loadgen import run_loadgen
 
@@ -686,12 +620,6 @@ def _loadgen_command(argv: List[str]) -> int:
         type=int,
         default=2,
         help="workload passes; pass 1 is cold, the rest are warm (default: 2)",
-    )
-    parser.add_argument(
-        "--cluster",
-        action="store_true",
-        help="cluster mode: require zero dropped connections and report "
-        "per-shard tail latency from X-Hottiles-Shard (docs/cluster.md)",
     )
     parser.add_argument(
         "--json",
@@ -736,12 +664,6 @@ def _loadgen_command(argv: List[str]) -> int:
     progress(report.render())
     emit_json(report.to_dict())
     failed = bool(report.failed) or not report.reconciles()
-    if args.cluster and report.transport_errors:
-        progress(
-            f"cluster gate FAILED: {report.transport_errors} dropped "
-            "connection(s) -- every request must resolve to an HTTP status"
-        )
-        failed = True
     return 1 if failed else 0
 
 

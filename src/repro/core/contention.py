@@ -206,17 +206,18 @@ def granularity_floor(
     by the most indivisible single tile, ``time / min(N, row blocks)``.
     Zero when the group has at most one instance (its total time already
     is the exact serialization) or no work.
+
+    ``panels`` must be non-decreasing, as ``TiledMatrix.stats.tile_row``
+    is and as a split candidate's expanded panels are.  A panel's
+    selected tiles are then one contiguous run, found without a sort.
     """
     if n_instances <= 1 or not selected.any():
         return 0.0
     t = times[selected]
     if traits.panel_affine:
         p = panels[selected]
-        order = np.argsort(p, kind="stable")
-        ts = t[order]
-        ps = p[order]
-        starts = np.flatnonzero(np.concatenate(([True], ps[1:] != ps[:-1])))
-        return float(np.add.reduceat(ts, starts).max())
+        starts = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
+        return float(np.add.reduceat(t, starts).max())
     capacity = _unit_capacity(uniq_rids[selected], n_instances, tile_height)
     return float((t / capacity).max())
 

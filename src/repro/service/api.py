@@ -2,10 +2,8 @@
 
 One place owns the mapping from :class:`~repro.service.planner.
 PlanService` outcomes and exceptions to ``(status, body, headers)``
-triples, so the two transports that expose the service -- the stdlib
-HTTP front end (:mod:`repro.service.httpd`) and the cluster shard's
-length-prefixed JSON IPC loop (:mod:`repro.cluster.shard`) -- cannot
-drift apart in their error taxonomy.
+triples; the stdlib HTTP front end (:mod:`repro.service.httpd`) only
+carries them, so the status contract is testable without a socket.
 
 Status contract (docs/service.md, docs/streaming.md):
 
@@ -61,9 +59,9 @@ def _retry_headers(retry_after_s: float) -> Dict[str, str]:
 
 def _draining_reply(service: PlanService, exc: ServiceClosed) -> Reply:
     # A draining service is a *transient* condition for the caller: the
-    # shard restarts (cluster mode) or a replica takes over, so answer
-    # like a retryable failure -- 503 plus an advisory Retry-After --
-    # instead of a bare 503 the client cannot distinguish from "gone".
+    # server restarts or a replica takes over, so answer like a
+    # retryable failure -- 503 plus an advisory Retry-After -- instead
+    # of a bare 503 the client cannot distinguish from "gone".
     retry_after = service.retry_after_hint()
     body = {"error": str(exc), "retry_after_s": retry_after}
     return 503, body, _retry_headers(retry_after)

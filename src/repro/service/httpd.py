@@ -26,9 +26,14 @@ Endpoints (all JSON):
   host/port -- with ``--port 0`` that is the kernel-chosen ephemeral
   port, so callers never have to race on a fixed one).
 
-The endpoint logic itself lives in :mod:`repro.service.api`, shared with
-the cluster shard transport (docs/cluster.md); this module only maps
-HTTP requests onto it.  Built on :class:`http.server.
+Every reply is JSON and a complete HTTP message: an exception no
+endpoint maps answers ``500``, and the stdlib's own rejections (a
+request line it cannot parse, an unsupported method or HTTP version)
+answer ``400``/``501``/``505`` with ``Connection: close``
+(docs/service.md).
+
+The endpoint logic itself lives in :mod:`repro.service.api`; this module
+only maps HTTP requests onto it.  Built on :class:`http.server.
 ThreadingHTTPServer`: one thread per connection feeding the service's
 bounded admission queue, which is where concurrency is actually limited.
 """
@@ -36,8 +41,9 @@ bounded admission queue, which is where concurrency is actually limited.
 from __future__ import annotations
 
 import json
+import socket
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.tracer import get_tracer
 from repro.service import api
@@ -54,57 +60,65 @@ class PlanRequestHandler(BaseHTTPRequestHandler):
     #: the body waits ~40 ms for the client's delayed ACK of the headers.
     disable_nagle_algorithm = True
 
-    #: Status of the last reply, for span annotation.
-    _last_status: int = 0
-
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 -- stdlib naming
-        with get_tracer().span(
-            "http.request", cat="http", method="POST", path=self.path
-        ) as span:
-            self._handle_post()
-            span.set(status=self._last_status)
+        self._answer("POST", self._post_reply)
 
-    def _handle_post(self) -> None:
+    def do_GET(self) -> None:  # noqa: N802
+        self._answer("GET", self._get_reply)
+
+    def _answer(self, method: str, route: Callable[[], api.Reply]) -> None:
+        with get_tracer().span(
+            "http.request", cat="http", method=method, path=self.path
+        ) as span:
+            try:
+                reply = route()
+            except Exception as exc:  # noqa: BLE001 -- answer, never drop
+                # An outcome no endpoint maps is still a reply: without one
+                # the client sees a closed connection and cannot tell a
+                # server fault from a network fault.
+                self.log_error("unhandled %r on %s %s", exc, method, self.path)
+                reply = 500, {"error": f"internal error: {exc!r}"}, {}
+            self._send_reply(reply)
+            span.set(status=reply[0])
+
+    def _post_reply(self) -> api.Reply:
         path = self.path.rstrip("/")
         service = self.server.service
         try:
-            payload = self._read_json_body()
+            length = self._body_length()
         except ProtocolError as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
+            # The body stays unread, so what follows on the connection is
+            # not a request boundary: answer, then close.
+            return 400, {"error": str(exc)}, {"Connection": "close"}
+        raw = self.rfile.read(length)
+        try:
+            payload = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            return 400, {"error": f"request body is not valid JSON: {exc}"}, {}
         if path.startswith("/matrices/") and path.endswith("/delta"):
             digest = path[len("/matrices/"):-len("/delta")]
-            self._send_reply(api.delta_endpoint(service, digest, payload))
-        elif path == "/plan":
-            self._send_reply(api.plan_endpoint(service, payload))
-        else:
-            self._send_json(404, {"error": f"no such endpoint: {self.path}"})
+            return api.delta_endpoint(service, digest, payload)
+        if path == "/plan":
+            return api.plan_endpoint(service, payload)
+        return self._not_found()
 
-    def do_GET(self) -> None:  # noqa: N802
-        with get_tracer().span(
-            "http.request", cat="http", method="GET", path=self.path
-        ) as span:
-            self._handle_get()
-            span.set(status=self._last_status)
-
-    def _handle_get(self) -> None:
+    def _get_reply(self) -> api.Reply:
         path = self.path.rstrip("/") or "/"
         service = self.server.service
         if path == "/healthz":
-            self._send_reply(api.healthz_endpoint(service))
-        elif path == "/stats":
-            self._send_reply(
-                api.stats_endpoint(service, server=self.server.describe())
-            )
-        elif path.startswith("/plan/"):
-            digest = path[len("/plan/"):]
-            self._send_reply(api.get_plan_endpoint(service, digest))
-        else:
-            self._send_json(404, {"error": f"no such endpoint: {self.path}"})
+            return api.healthz_endpoint(service)
+        if path == "/stats":
+            return api.stats_endpoint(service, server=self.server.describe())
+        if path.startswith("/plan/"):
+            return api.get_plan_endpoint(service, path[len("/plan/"):])
+        return self._not_found()
+
+    def _not_found(self) -> api.Reply:
+        return 404, {"error": f"no such endpoint: {self.path}"}, {}
 
     # ------------------------------------------------------------------
-    def _read_json_body(self) -> Dict[str, Any]:
+    def _body_length(self) -> int:
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
@@ -115,11 +129,7 @@ class PlanRequestHandler(BaseHTTPRequestHandler):
             raise ProtocolError(
                 f"request body too large ({length} > {self.server.max_body_bytes} bytes)"
             )
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"request body is not valid JSON: {exc}") from None
+        return length
 
     def _send_reply(self, reply: api.Reply) -> None:
         status, body, headers = reply
@@ -132,14 +142,36 @@ class PlanRequestHandler(BaseHTTPRequestHandler):
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self._last_status = status
+        headers = dict(extra_headers or {})
+        if self.close_connection:
+            # An HTTP/1.0 client, or one that sent ``Connection: close``:
+            # say that this reply ends the connection.
+            headers.setdefault("Connection", "close")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
+        for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """The stdlib's own rejections as JSON, like every other reply.
+
+        ``BaseHTTPRequestHandler`` calls this for a malformed request
+        line (400), an unsupported HTTP version (505) or method (501).
+        Its default is an HTML page, and for a request line it cannot
+        parse it keeps ``request_version`` at ``HTTP/0.9``, which sends
+        that page with no status line at all.  This server does not
+        speak HTTP/0.9, so it always answers with a status line, a JSON
+        body, and ``Connection: close``.
+        """
+        self.log_error("code %d, message %s", code, message)
+        self.request_version = self.protocol_version
+        reason = message or self.responses.get(code, ("error",))[0]
+        self._send_json(code, {"error": reason}, {"Connection": "close"})
 
     def log_message(self, fmt: str, *args: Any) -> None:
         if self.server.verbose:
@@ -151,6 +183,12 @@ class PlanHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    #: socketserver's default listen backlog is 5.  A client that opens
+    #: one connection per request (``hottiles loadgen`` does) with more
+    #: than about 6 in flight overflows it, the kernel drops the SYN, and
+    #: that connect waits about 1 s for the retransmit.  Admission is
+    #: bounded by the service's queue, not by the listen socket.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(
         self,

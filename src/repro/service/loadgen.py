@@ -15,6 +15,7 @@ client's totals.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -63,9 +64,6 @@ class LoadgenPass:
     served: Dict[str, int] = field(default_factory=dict)  #: store/computed/coalesced
     wall_s: float = 0.0
     latency: Histogram = field(default_factory=Histogram)
-    #: Latency split by the ``X-Hottiles-Shard`` reply header (cluster
-    #: runs only; single-process replies carry no shard header).
-    shard_latency: Dict[str, Histogram] = field(default_factory=dict)
     store_hits_delta: int = 0
     store_gets_delta: int = 0
     errors: List[str] = field(default_factory=list)
@@ -92,14 +90,6 @@ class LoadgenPass:
             f"p99 {p['p99'] * 1e3:.1f} ms",
             f"  served: {served or '-'}; plan-store hit rate {self.store_hit_rate:.0%}",
         ]
-        if self.shard_latency:
-            for shard in sorted(self.shard_latency, key=str):
-                sp = self.shard_latency[shard].percentiles()
-                count = self.shard_latency[shard].count
-                lines.append(
-                    f"  shard {shard}: {count} replies, "
-                    f"p50 {sp['p50'] * 1e3:.1f} ms, p99 {sp['p99'] * 1e3:.1f} ms"
-                )
         for err in self.errors[:5]:
             lines.append(f"  error: {err}")
         return "\n".join(lines)
@@ -118,13 +108,6 @@ class LoadgenPass:
             "wall_s": self.wall_s,
             "throughput_rps": self.throughput_rps,
             "latency_ms": {k: v * 1e3 for k, v in p.items()},
-            "shards": {
-                str(shard): {
-                    "count": hist.count,
-                    **{k: v * 1e3 for k, v in hist.percentiles().items()},
-                }
-                for shard, hist in sorted(self.shard_latency.items(), key=lambda kv: str(kv[0]))
-            },
             "store_hit_rate": self.store_hit_rate,
             "errors": list(self.errors[:10]),
         }
@@ -153,7 +136,7 @@ class LoadgenReport:
 
     @property
     def transport_errors(self) -> int:
-        """Dropped connections across all passes (must be 0 in a cluster)."""
+        """Dropped connections (no HTTP status at all) across all passes."""
         return sum(p.transport_errors for p in self.passes)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -163,7 +146,6 @@ class LoadgenReport:
             "transport_errors": self.transport_errors,
             "reconciles": self.reconciles(),
             "server_counters": dict(self.server_stats.get("counters", {})),
-            "cluster": self.server_stats.get("cluster"),
         }
 
     def render(self) -> str:
@@ -195,12 +177,22 @@ class LoadgenReport:
 
 
 # ----------------------------------------------------------------------
+class BadReply(ValueError):
+    """A success reply (no error status) whose body is not a JSON object."""
+
+
 def _http_json(
     url: str,
     payload: Optional[Dict[str, Any]] = None,
     timeout_s: float = 60.0,
 ) -> Any:
-    """One request; returns ``(status, decoded_body)``; raises URLError."""
+    """One request; returns ``(status, decoded_body, headers)``.
+
+    Raises ``OSError`` (``URLError`` included) or ``http.client.
+    HTTPException`` when no complete HTTP reply arrives, and
+    :class:`BadReply` when a ``200`` body is not a JSON object.  An
+    error status with such a body decodes to ``{"error": <text>}``.
+    """
     data = None if payload is None else json.dumps(payload).encode("utf-8")
     req = urllib.request.Request(
         url,
@@ -210,14 +202,27 @@ def _http_json(
     )
     try:
         with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-            return resp.status, json.loads(resp.read()), dict(resp.headers)
+            raw = resp.read()
+            decoded = _json_object(raw)
+            if decoded is None:
+                raise BadReply(
+                    f"HTTP {resp.status} body is not a JSON object: {raw[:80]!r}"
+                )
+            return resp.status, decoded, dict(resp.headers)
     except urllib.error.HTTPError as exc:
         body = exc.read()
-        try:
-            decoded = json.loads(body) if body else {}
-        except json.JSONDecodeError:
+        decoded = _json_object(body) if body else {}
+        if decoded is None:
             decoded = {"error": body.decode("utf-8", "replace")}
         return exc.code, decoded, dict(exc.headers or {})
+
+
+def _json_object(raw: bytes) -> Optional[Dict[str, Any]]:
+    try:
+        decoded = json.loads(raw)
+    except ValueError:
+        return None
+    return decoded if isinstance(decoded, dict) else None
 
 
 def fetch_stats(base_url: str, timeout_s: float = 10.0) -> Dict[str, Any]:
@@ -253,15 +258,11 @@ def run_pass(
             return i
 
     def record(outcome: str, latency_s: float, served: Optional[str],
-               retries: int, error: Optional[str],
-               shard: Optional[str] = None) -> None:
+               retries: int, error: Optional[str]) -> None:
         with counter_lock:
             if outcome == "ok":
                 result.completed += 1
                 result.latency.observe(latency_s)
-                if shard is not None:
-                    hist = result.shard_latency.setdefault(shard, Histogram())
-                    hist.observe(latency_s)
                 if served:
                     result.served[served] = result.served.get(served, 0) + 1
             else:
@@ -285,18 +286,18 @@ def run_pass(
                     status, body, headers = _http_json(
                         url, payload, timeout_s=request_timeout_s
                     )
-                except (urllib.error.URLError, OSError, TimeoutError) as exc:
-                    record("failed", 0.0, None, retries, f"transport: {exc}")
+                except (OSError, http.client.HTTPException) as exc:
+                    # No complete HTTP reply: refused, reset, timed out,
+                    # a status line that is not HTTP, or a cut-off body.
+                    record("failed", 0.0, None, retries,
+                           f"transport: {type(exc).__name__}: {exc}")
+                    break
+                except BadReply as exc:
+                    record("failed", 0.0, None, retries, str(exc))
                     break
                 if status == 200:
-                    record(
-                        "ok",
-                        time.monotonic() - start,
-                        body.get("served"),
-                        retries,
-                        None,
-                        shard=headers.get("X-Hottiles-Shard"),
-                    )
+                    record("ok", time.monotonic() - start, body.get("served"),
+                           retries, None)
                     break
                 retry_after = headers.get("Retry-After")
                 if (

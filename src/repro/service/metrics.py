@@ -7,21 +7,13 @@ percentile queries over a bounded window of recent observations.  The
 :class:`MetricsRegistry` hands out named instruments and renders one
 consistent :meth:`~MetricsRegistry.snapshot` dict the ``/stats`` endpoint
 serves.
-
-Every instrument also supports **merging** (``Counter.merge``,
-``Histogram.merge``, ``MetricsRegistry.merge``), which is how the
-cluster router aggregates per-shard registries into one cross-shard
-``/stats`` answer (docs/cluster.md).  Histograms merge their raw sample
-windows -- not pre-computed percentiles, which cannot be combined -- so
-the merged percentiles equal what a single registry would have answered
-over the concatenated samples.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Mapping, Union
+from typing import Any, Deque, Dict, Iterable
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -40,11 +32,6 @@ class Counter:
             raise ValueError("counters only increase")
         with self._lock:
             self._value += n
-
-    def merge(self, other: Union["Counter", int]) -> None:
-        """Fold another counter (or raw count) into this one."""
-        n = other.value if isinstance(other, Counter) else int(other)
-        self.inc(n)
 
     @property
     def value(self) -> int:
@@ -164,55 +151,6 @@ class Histogram:
         )
         return out
 
-    def dump(self) -> Dict[str, Any]:
-        """The full transferable state, including the raw sample window.
-
-        Unlike :meth:`snapshot` this is meant for :meth:`merge` on the
-        receiving side -- percentiles cannot be combined, samples can.
-        JSON-serializable (the cluster shards ship it over the wire).
-        """
-        with self._lock:
-            return {
-                "count": self.count,
-                "sum": self.sum,
-                "max": self.max,
-                "samples": list(self._samples),
-            }
-
-    def merge(self, other: Union["Histogram", Mapping[str, Any]]) -> None:
-        """Fold another histogram (or its :meth:`dump`) into this one.
-
-        Lifetime ``count``/``sum``/``max`` add exactly; the sample
-        windows concatenate, growing this instrument's window as needed
-        so no merged sample is dropped -- merging N shard dumps into a
-        fresh histogram therefore answers exactly the percentiles one
-        shared histogram would have over the concatenated windows (the
-        property the cluster ``/stats`` aggregation relies on).
-        """
-        if isinstance(other, Histogram):
-            other = other.dump()
-        count = int(other.get("count", 0))
-        total = float(other.get("sum", 0.0))
-        peak = float(other.get("max", 0.0))
-        samples = [float(s) for s in other.get("samples", ())]
-        if count < 0 or len(samples) > count:
-            raise ValueError("malformed histogram dump")
-        with self._lock:
-            need = len(self._samples) + len(samples)
-            if self._samples.maxlen is not None and need > self._samples.maxlen:
-                self._samples = deque(self._samples, maxlen=need)
-            self._samples.extend(samples)
-            self.count += count
-            self.sum += total
-            if peak > self.max:
-                self.max = peak
-
-    @property
-    def window(self) -> List[float]:
-        """A copy of the current sample window (oldest first)."""
-        with self._lock:
-            return list(self._samples)
-
 
 class MetricsRegistry:
     """Named instruments plus one consistent snapshot."""
@@ -248,34 +186,3 @@ class MetricsRegistry:
                 name: h.snapshot() for name, h in sorted(histograms.items())
             },
         }
-
-    def dump(self) -> Dict[str, Any]:
-        """The full transferable registry state (see :meth:`merge`)."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        return {
-            "counters": {name: c.value for name, c in sorted(counters.items())},
-            "gauges": {name: g.value for name, g in sorted(gauges.items())},
-            "histograms": {
-                name: h.dump() for name, h in sorted(histograms.items())
-            },
-        }
-
-    def merge(self, dump: Mapping[str, Any]) -> None:
-        """Fold one :meth:`dump` into this registry.
-
-        Counters and gauges add (summing queue depths across shards is
-        the aggregation a cluster dashboard wants); histograms merge
-        their sample windows without dropping samples, so merging N
-        shard dumps into a fresh registry yields exactly the percentiles
-        a single shared registry would have reported over the
-        concatenated windows.
-        """
-        for name, value in dump.get("counters", {}).items():
-            self.counter(name).merge(int(value))
-        for name, value in dump.get("gauges", {}).items():
-            self.gauge(name).inc(float(value))
-        for name, hist_dump in dump.get("histograms", {}).items():
-            self.histogram(name).merge(hist_dump)

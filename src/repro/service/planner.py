@@ -687,10 +687,9 @@ class PlanService:
 
         The first caller wins (returns ``True``); from that point every
         new ``plan``/``apply_delta`` answers :class:`ServiceClosed`.  A
-        graceful drain (cluster shards, docs/cluster.md) calls this
-        synchronously so the 503 window opens *before* the drain reply
-        is sent, then finishes the slow part -- :meth:`close` -- off the
-        handler thread.
+        graceful drain (docs/service.md) can call this synchronously so
+        the 503 window opens at once, then finish the slow part --
+        :meth:`close` -- off the calling thread.
         """
         with self._lock:
             if self._closed:

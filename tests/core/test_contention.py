@@ -15,6 +15,8 @@ Pinned here:
 - ``_SplitPartsView`` rejects degenerate cuts (``hot_nnz`` of 0 or the
   whole tile) that would read the next tile's first row -- or past the
   array on the last tile.
+- The panel-affine granularity floor equals, bit for bit, a frozen copy
+  of its earlier form that stable-sorted the selected tiles by panel.
 """
 
 from types import SimpleNamespace
@@ -127,6 +129,39 @@ class TestEvaluatorProperties:
             traits=traits, n_instances=1, tile_height=piuma().tile_height,
         )
         assert floor == 0.0
+
+
+def _argsort_panel_floor(times, panels, selected):
+    """Frozen panel-affine floor from before the sort was dropped: it
+    stable-sorted the selected tiles by panel id, then summed segments."""
+    t = times[selected]
+    p = panels[selected]
+    order = np.argsort(p, kind="stable")
+    ts = t[order]
+    ps = p[order]
+    starts = np.flatnonzero(np.concatenate(([True], ps[1:] != ps[:-1])))
+    return float(np.add.reduceat(ts, starts).max())
+
+
+class TestPanelFloor:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_equals_frozen_argsort_version(self, seed):
+        # Callers pass non-decreasing panel ids: tile_row, or a split's
+        # expanded panels, which repeat the split tile's id in place.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        panels = np.sort(rng.integers(0, max(1, n // 4), size=n))
+        times = rng.exponential(1e-5, size=n)
+        selected = rng.random(n) < rng.uniform(0.05, 1.0)
+        selected[rng.integers(n)] = True
+        arch = piuma()
+        assert arch.hot.traits.panel_affine and arch.hot.count > 1
+        floor = contention.granularity_floor(
+            times, np.ones(n), panels, selected,
+            traits=arch.hot.traits, n_instances=arch.hot.count,
+            tile_height=arch.tile_height,
+        )
+        assert floor == _argsort_panel_floor(times, panels, selected)
 
 
 class TestPartitionerWiring:

@@ -1,9 +1,9 @@
 """The transport-agnostic endpoint handlers: outcome -> (status, body, headers).
 
-Both transports (HTTP front end and cluster shard IPC) answer through
-these handlers, so the status contract in ``repro.service.api`` is
-checked here once.  Exceptions the planner raises are injected through a
-stub so each row of the contract is hit exactly.
+The HTTP front end answers through these handlers, so the status
+contract in ``repro.service.api`` is checked here without a socket.
+Exceptions the planner raises are injected through a stub so each row
+of the contract is hit exactly.
 """
 
 import pytest
@@ -110,6 +110,13 @@ class TestPlanEndpoint:
         assert body == {"error": "KeyError: 'x'", "error_detail": error.to_dict()}
         assert headers == {}
 
+    @pytest.mark.parametrize("payload", [[], "plan", 7])
+    def test_non_object_body_is_400(self, service, payload):
+        status, body, headers = api.plan_endpoint(service, payload)
+        assert (status, body, headers) == (
+            400, {"error": "request body must be a JSON object"}, {}
+        )
+
     def test_unreadable_matrix_path_is_400(self, service, tmp_path):
         payload = {"matrix_path": str(tmp_path / "missing.mtx")}
         status, body, _ = api.plan_endpoint(service, payload)
@@ -156,6 +163,39 @@ class TestDeltaEndpoint:
         result, _ = service.plan(PlanRequest.from_dict(RMAT))
         status, _, _ = api.delta_endpoint(service, result.digest, payload)
         assert status == 400
+        assert service.metrics.counter("deltas_applied").value == 0
+
+
+    def test_applied_delta_is_200_with_the_repaired_plan(self, service):
+        result, _ = service.plan(PlanRequest.from_dict(RMAT))
+        delta = {"insert_rows": [0, 1], "insert_cols": [0, 1], "insert_vals": [1.5, 2.5]}
+        status, body, headers = api.delta_endpoint(service, result.digest, delta)
+        assert (status, headers) == (200, {})
+        applied = body["applied"]
+        assert applied["prev_digest"] == result.digest
+        assert applied["new_digest"] == body["plan"]["digest"] != result.digest
+        assert applied["nnz"] == body["plan"]["nnz"]
+        assert set(applied) == {
+            "prev_digest", "new_digest", "n_inserted", "n_overwritten", "n_deleted",
+            "nnz", "n_tiles", "tiles_repaired", "repaired_fraction",
+        }
+        assert body["plan"] == service.store.get(applied["new_digest"]).to_dict()
+
+    def test_superseded_head_is_409_naming_the_live_head(self, service):
+        result, _ = service.plan(PlanRequest.from_dict(RMAT))
+        delta = {"delete_rows": [0], "delete_cols": [0]}
+        _, first, _ = api.delta_endpoint(service, result.digest, delta)
+        status, body, headers = api.delta_endpoint(service, result.digest, delta)
+        assert (status, headers) == (409, {})
+        assert body["digest"] == result.digest
+        assert body["head_digest"] == first["applied"]["new_digest"]
+
+    def test_out_of_range_coordinates_are_400(self, service):
+        result, _ = service.plan(PlanRequest.from_dict(RMAT))
+        delta = {"insert_rows": [1 << 20], "insert_cols": [0], "insert_vals": [1.0]}
+        status, body, _ = api.delta_endpoint(service, result.digest, delta)
+        assert status == 400
+        assert service.lineages.resolve(result.digest).head_digest == result.digest
         assert service.metrics.counter("deltas_applied").value == 0
 
 

@@ -1,6 +1,6 @@
 """Drain-safety regression: deltas vs ``close(drain=True)``.
 
-The contract (docs/cluster.md): a draining service answers every new
+The contract (docs/service.md): a draining service answers every new
 delta ``503`` + ``Retry-After``, and a delta admitted *before* the drain
 began completes fully -- the lineage head is never left half-advanced
 (head moved but repaired plan unpublished, or vice versa).

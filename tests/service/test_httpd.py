@@ -1,6 +1,7 @@
 """HTTP front-end tests against a live ephemeral-port server."""
 
 import json
+import socket
 import statistics
 import threading
 import time
@@ -94,10 +95,28 @@ class TestEndpoints:
         assert stats["store"]["entries"] == 1
         assert "request_latency_s" in stats["histograms"]
 
-    def test_unknown_endpoint_404(self, live_server):
+    @pytest.mark.parametrize(
+        "path,payload",
+        [
+            ("/nope", None),
+            ("/nope", {"x": 1}),
+            ("/", None),
+            ("/plan", None),
+            ("/stats", {"x": 1}),
+            ("/matrices/ab/delta", None),
+        ],
+    )
+    def test_unknown_endpoint_404(self, live_server, path, payload):
         base, _ = live_server
-        assert http(base, "/nope")[0] == 404
-        assert http(base, "/nope", {"x": 1})[0] == 404
+        status, body, _ = http(base, path, payload)
+        assert status == 404
+        assert path in body["error"]
+
+    def test_trailing_slash_is_ignored(self, live_server):
+        base, _ = live_server
+        assert http(base, "/healthz/")[:2] == (200, {"status": "ok"})
+        status, body, _ = http(base, "/plan/", RMAT)
+        assert status == 200 and body["served"] == "computed"
 
 
 class TestKeepAliveLatency:
@@ -144,6 +163,26 @@ class TestErrorMapping:
         status, body, _ = http(base, "/plan", {"matrix": "pap", "arch": "tpu"})
         assert status == 400
         assert "unknown arch" in body["error"]
+
+    @pytest.mark.parametrize(
+        "length,message",
+        [("ten", "bad Content-Length header"), (str(2 << 20), "request body too large")],
+    )
+    def test_bad_or_oversized_content_length_400(self, live_server, length, message):
+        base, _ = live_server
+        host, port = base[len("http://"):].split(":")
+        conn = HTTPConnection(host, int(port), timeout=10)
+        try:
+            # The length is checked before the body is read, so none is sent.
+            conn.putrequest("POST", "/plan")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert message in body["error"]
 
     def test_empty_body_400(self, live_server):
         base, _ = live_server
@@ -242,8 +281,34 @@ class TestBackpressureOverHTTP:
             service.close()
 
 
+class TestListenBacklog:
+    def test_connect_burst_before_the_first_accept(self, tmp_path):
+        """A burst of connects must fit the listen backlog.
+
+        With socketserver's default backlog of 5 the kernel queues six
+        connections and drops the seventh SYN; that connect then waits
+        about 1 s for the retransmit, so it misses the 0.5 s timeout.
+        """
+        service = PlanService(store=PlanStore(tmp_path / "plans"), workers=1)
+        server = make_server(service, port=0)  # bound and listening, not accepting
+        socks = []
+        try:
+            for _ in range(16):
+                try:
+                    socks.append(socket.create_connection(
+                        ("127.0.0.1", server.bound_port), timeout=0.5
+                    ))
+                except OSError as exc:
+                    pytest.fail(f"connect {len(socks) + 1} of 16 failed: {exc!r}")
+        finally:
+            for sock in socks:
+                sock.close()
+            server.server_close()
+            service.close()
+
+
 class TestEphemeralPortReporting:
-    """``--port 0`` satellite: the bound port is discoverable (docs/cluster.md)."""
+    """``--port 0``: the bound port is discoverable (docs/service.md)."""
 
     def test_bound_port_property_resolves_port_zero(self, tmp_path):
         service = PlanService(store=PlanStore(tmp_path / "plans"), workers=1)
@@ -289,3 +354,85 @@ class TestEphemeralPortReporting:
             proc.terminate()
             proc.wait(timeout=10)
             proc.stdout.close()
+
+
+DELTA = {
+    "insert_rows": [0, 1],
+    "insert_cols": [0, 1],
+    "insert_vals": [1.5, 2.5],
+    "delete_rows": [],
+    "delete_cols": [],
+}
+
+
+class TestDrainOverHTTP:
+    """Once a drain begins (``begin_close``, as SIGTERM does), the server
+    answers instead of dropping: 503 + ``Retry-After`` for new work,
+    ``draining`` on ``/healthz``, and stored plans and ``/stats`` stay
+    readable."""
+
+    def test_new_plan_is_503_with_retry_after_even_for_a_stored_plan(self, live_server):
+        base, service = live_server
+        assert http(base, "/plan", RMAT)[0] == 200
+        service.begin_close()
+        for payload in (RMAT, {"generator": dict(RMAT["generator"], seed=1)}):
+            status, body, headers = http(base, "/plan", payload)
+            assert status == 503
+            assert body["error"] == "service is shutting down"
+            assert float(headers["Retry-After"]) == pytest.approx(body["retry_after_s"],
+                                                                 abs=1e-3)
+            assert body["retry_after_s"] > 0
+
+    def test_healthz_reports_draining(self, live_server):
+        base, service = live_server
+        service.begin_close()
+        assert http(base, "/healthz")[:2] == (503, {"status": "draining"})
+
+    def test_stored_plan_and_stats_stay_readable(self, live_server):
+        base, service = live_server
+        _, body, _ = http(base, "/plan", RMAT)
+        digest = body["plan"]["digest"]
+        service.begin_close()
+        status, got, _ = http(base, f"/plan/{digest}")
+        assert status == 200 and got["plan"] == body["plan"]
+        status, stats, _ = http(base, "/stats")
+        assert status == 200
+        assert stats["closed"] is True
+        assert stats["counters"]["requests_completed"] == 1
+
+    def test_delta_is_503_and_leaves_the_head_where_it_was(self, live_server):
+        base, service = live_server
+        _, body, _ = http(base, "/plan", RMAT)
+        digest = body["plan"]["digest"]
+        service.begin_close()
+        status, reply, headers = http(base, f"/matrices/{digest}/delta", DELTA)
+        assert status == 503
+        assert float(headers["Retry-After"]) > 0
+        assert service.lineages.resolve(digest).head_digest == digest
+        assert service.stats()["counters"].get("deltas_applied", 0) == 0
+
+
+class TestLineageOverHTTP:
+    def test_delta_chain_advances_one_head_and_keeps_every_plan(self, live_server):
+        base, service = live_server
+        _, body, _ = http(base, "/plan", RMAT)
+        heads = [body["plan"]["digest"]]
+        for step in range(3):
+            delta = dict(DELTA, insert_vals=[float(step), float(step) + 0.5])
+            status, reply, _ = http(base, f"/matrices/{heads[-1]}/delta", delta)
+            assert status == 200
+            assert reply["applied"]["prev_digest"] == heads[-1]
+            heads.append(reply["applied"]["new_digest"])
+        assert len(set(heads)) == 4
+        # Every superseded head points the caller at the one live head.
+        for old in heads[:-1]:
+            status, reply, _ = http(base, f"/matrices/{old}/delta", DELTA)
+            assert status == 409
+            assert reply["head_digest"] == heads[-1]
+        # Every plan along the chain stays addressable.
+        for digest in heads:
+            status, got, _ = http(base, f"/plan/{digest}")
+            assert status == 200 and got["plan"]["digest"] == digest
+        _, stats, _ = http(base, "/stats")
+        assert stats["counters"]["deltas_applied"] == 3
+        assert stats["lineages"] == 1

@@ -164,101 +164,3 @@ class TestRegistry:
         assert snap["counters"] == {"reqs": 2}
         assert snap["gauges"] == {"depth": 1.0}
         assert snap["histograms"]["lat"]["count"] == 1
-
-
-class TestMerge:
-    """Cross-shard aggregation helpers (docs/cluster.md)."""
-
-    def test_counter_merge_adds(self):
-        a, b = Counter(), Counter()
-        a.inc(3)
-        b.inc(4)
-        a.merge(b)
-        a.merge(5)
-        assert a.value == 12
-
-    def test_histogram_merge_percentiles_equal_single_registry(self):
-        """The satellite contract: merging N sample windows answers
-        exactly the percentiles one histogram would over the
-        concatenation."""
-        import random
-
-        rng = random.Random(42)
-        shards = [[rng.expovariate(10.0) for _ in range(rng.randint(5, 400))]
-                  for _ in range(4)]
-        combined = Histogram()
-        for window in shards:
-            for v in window:
-                combined.observe(v)
-        merged = Histogram()
-        for window in shards:
-            h = Histogram()
-            for v in window:
-                h.observe(v)
-            merged.merge(h.dump())
-        assert merged.count == combined.count
-        assert merged.sum == pytest.approx(combined.sum)
-        assert merged.max == combined.max
-        for q in (0, 25, 50, 90, 95, 99, 100):
-            assert merged.percentile(q) == pytest.approx(combined.percentile(q))
-
-    def test_merge_grows_window_so_no_sample_drops(self):
-        small = Histogram(max_samples=4)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            small.observe(v)
-        other = Histogram(max_samples=4)
-        for v in (5.0, 6.0, 7.0, 8.0):
-            other.observe(v)
-        small.merge(other)
-        assert sorted(small.window) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        assert small.count == 8
-
-    def test_merge_accepts_wire_dump(self):
-        h = Histogram()
-        h.merge({"count": 2, "sum": 3.0, "max": 2.0, "samples": [1.0, 2.0]})
-        assert h.count == 2
-        assert h.percentile(100) == 2.0
-
-    def test_malformed_dump_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram().merge({"count": 1, "samples": [1.0, 2.0]})
-        with pytest.raises(ValueError):
-            Histogram().merge({"count": -1, "samples": []})
-
-    def test_registry_merge_matches_one_shared_registry(self):
-        import random
-
-        rng = random.Random(7)
-        shared = MetricsRegistry()
-        dumps = []
-        for _ in range(3):
-            shard = MetricsRegistry()
-            n = rng.randint(1, 50)
-            shard.counter("requests").inc(n)
-            shared.counter("requests").inc(n)
-            depth = rng.randint(0, 5)
-            shard.gauge("queue_depth").set(depth)
-            shared.gauge("queue_depth").inc(depth)
-            for _ in range(rng.randint(10, 200)):
-                v = rng.random()
-                shard.histogram("latency_s").observe(v)
-                shared.histogram("latency_s").observe(v)
-            dumps.append(shard.dump())
-        merged = MetricsRegistry()
-        for dump in dumps:
-            merged.merge(dump)
-        got, want = merged.snapshot(), shared.snapshot()
-        assert got["counters"] == want["counters"]
-        assert got["gauges"] == want["gauges"]
-        for key in ("count", "p50", "p95", "p99", "max"):
-            assert got["histograms"]["latency_s"][key] == pytest.approx(
-                want["histograms"]["latency_s"][key]
-            )
-
-    def test_dump_is_json_serializable(self):
-        import json
-
-        reg = MetricsRegistry()
-        reg.counter("a").inc()
-        reg.histogram("h").observe(0.25)
-        assert json.loads(json.dumps(reg.dump())) == reg.dump()

@@ -76,6 +76,31 @@ class TestRequestValidation:
             PlanRequest.from_dict({"matrix": "pap", "timeout_s": -1})
 
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"matrix": 7}, "matrix must be a benchmark short name"),
+            ({"matrix_path": ["m.mtx"]}, "matrix_path must be a string path"),
+            ({"generator": ["rmat", 8]}, "generator must be an object"),
+            ({"generator": {"scale": 8}}, "unknown generator kind None"),
+            ({"generator": {"kind": "rmat", "scale": True}},
+             "generator parameter 'scale' must be a number"),
+            ({"generator": {"kind": "uniform", "nnz": None}},
+             "generator parameter 'nnz' must be a number"),
+            ({"matrix": "pap", "scale": True}, "scale must be a positive integer"),
+            ({"matrix": "pap", "scale": 2.0}, "scale must be a positive integer"),
+            ({"matrix": "pap", "timeout_s": True}, "timeout_s must be a positive number"),
+            ({"matrix": "pap", "timeout_s": "5"}, "timeout_s must be a positive number"),
+            ({"matrix": "pap", "timeout_s": 0}, "timeout_s must be a positive number"),
+            ({"matrix": None, "generator": None}, "exactly one"),
+        ],
+    )
+    def test_rejects_mistyped_field(self, payload, message):
+        with pytest.raises(ProtocolError) as excinfo:
+            PlanRequest.from_dict(payload)
+        assert message in str(excinfo.value)
+
+
 class TestDigest:
     def test_digest_stable_and_distinct(self):
         a1, a2, b = rmat_request(0), rmat_request(0), rmat_request(1)

@@ -182,6 +182,15 @@ class TestVersionAndUnknown:
         assert "unrecognized arguments: pap" in err
         assert "unknown experiment" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [["serve", "--cluster", "2"], ["loadgen", "--cluster"]]
+    )
+    def test_removed_cluster_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cluster" in capsys.readouterr().err
+
     def test_new_subcommands_listed(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
@@ -265,6 +274,63 @@ class TestServeCommand:
             assert proc.returncode == 0
             assert "draining" in out
             assert "completed=1" in out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+
+    def test_serve_drains_on_sigterm_and_exits_0(self, tmp_path):
+        """A background server in a non-interactive shell ignores SIGINT,
+        so SIGTERM is its stop signal: drain, print ``served:``, exit 0."""
+        import json
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import urllib.request
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--port", "0", "--workers", "2",
+                "--store-dir", str(tmp_path / "plans"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=env,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"\bport=(\d+)\b", line)
+            assert match, f"no port= token in startup line: {line!r}"
+            base = f"http://127.0.0.1:{match.group(1)}"
+            payload = json.dumps(
+                {"generator": {"kind": "rmat", "scale": 8, "nnz": 2000, "seed": 0}}
+            ).encode()
+            for served in ("computed", "store"):
+                req = urllib.request.Request(
+                    base + "/plan", data=payload,
+                    headers={"Content-Type": "application/json"}, method="POST",
+                )
+                with urllib.request.urlopen(req, timeout=60) as resp:
+                    assert json.loads(resp.read())["served"] == served
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+            assert proc.returncode == 0, out
+            served_lines = [x for x in out.splitlines() if x.startswith("served: ")]
+            assert len(served_lines) == 1, out
+            assert "accepted=2" in served_lines[0]
+            assert "completed=2" in served_lines[0]
         finally:
             if proc.poll() is None:
                 proc.kill()
