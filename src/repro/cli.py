@@ -485,7 +485,7 @@ def _trace_command(argv: List[str]) -> int:
 # ----------------------------------------------------------------------
 def _serve_command(argv: List[str]) -> int:
     from repro.service.httpd import make_server
-    from repro.service.planner import PlanService
+    from repro.service.planner import PlanService, check_settings
     from repro.service.store import PlanStore
 
     parser = argparse.ArgumentParser(
@@ -523,12 +523,6 @@ def _serve_command(argv: List[str]) -> int:
         help="byte cap for stored plan results (oldest evicted first)",
     )
     parser.add_argument(
-        "--no-degraded-fallback",
-        action="store_true",
-        help="on a request timeout answer 504 instead of serving the "
-        "roofline-only degraded plan (docs/service.md)",
-    )
-    parser.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
     )
     parser.add_argument(
@@ -539,6 +533,14 @@ def _serve_command(argv: List[str]) -> int:
         "a Chrome-trace JSON, written on shutdown (docs/tracing.md)",
     )
     args = parser.parse_args(argv)
+    # Checked before anything is created or bound.  A wait bound of 0
+    # would answer every plan that is not stored with 504.
+    try:
+        check_settings(args.workers, args.queue_depth, args.timeout)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.store_max_bytes is not None and args.store_max_bytes < 0:
+        parser.error("--store-max-bytes must be >= 0")
 
     _drain_on_sigterm()
     store = PlanStore(args.store_dir, max_bytes=args.store_max_bytes)
@@ -547,7 +549,6 @@ def _serve_command(argv: List[str]) -> int:
         workers=args.workers,
         queue_depth=args.queue_depth,
         default_timeout_s=args.timeout,
-        degraded_fallback=not args.no_degraded_fallback,
     )
     server = make_server(service, host=args.host, port=args.port, verbose=args.verbose)
     host, port = server.server_address[0], server.bound_port
@@ -564,7 +565,7 @@ def _serve_command(argv: List[str]) -> int:
             print("\ndraining in-flight plans...", flush=True)
         finally:
             server.server_close()
-            service.close(drain=True)
+            service.close()
     counters = service.metrics.snapshot()["counters"]
     print(
         "served: "

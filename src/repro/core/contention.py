@@ -143,8 +143,7 @@ def effective_hot_bw(arch: Architecture) -> float:
     """Bytes/s the hot group can actually drain: ports, PCIe, DRAM in series.
 
     Equals plain ``mem_bw_bytes_per_sec`` when no PCIe link is configured,
-    so non-PCIe behavior (roofline baselines, degraded fallback) is
-    unchanged.
+    so scoring on a non-PCIe machine keeps the naive Fig. 8 forms.
     """
     bw = arch.mem_bw_bytes_per_sec
     pcie = arch.pcie_bw_bytes_per_sec

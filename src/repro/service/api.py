@@ -13,8 +13,8 @@ Status contract (docs/service.md, docs/streaming.md):
 ``404``   unknown endpoint, digest, or lineage
 ``409``   superseded lineage head (body carries ``head_digest``)
 ``429``   admission queue shed the request (+ ``Retry-After``)
-``500``   terminal plan failure (structured ``error_detail``)
-``503``   retryable failure or draining service (+ ``Retry-After``)
+``500``   the plan computation raised (structured ``error_detail``)
+``503``   draining service (+ ``Retry-After``)
 ``504``   per-request wait bound elapsed
 ========  ===========================================================
 """
@@ -59,9 +59,9 @@ def _retry_headers(retry_after_s: float) -> Dict[str, str]:
 
 def _draining_reply(service: PlanService, exc: ServiceClosed) -> Reply:
     # A draining service is a *transient* condition for the caller: the
-    # server restarts or a replica takes over, so answer like a
-    # retryable failure -- 503 plus an advisory Retry-After -- instead
-    # of a bare 503 the client cannot distinguish from "gone".
+    # server restarts or a replica takes over, so answer 503 plus an
+    # advisory Retry-After instead of a bare 503 the client cannot
+    # distinguish from "gone".
     retry_after = service.retry_after_hint()
     body = {"error": str(exc), "retry_after_s": retry_after}
     return 503, body, _retry_headers(retry_after)
@@ -87,20 +87,9 @@ def plan_endpoint(service: PlanService, payload: Mapping[str, Any]) -> Reply:
             # The worker could not build the matrix the request names (a
             # generator rejected its parameters): malformed, not a failure.
             return 400, {"error": exc.error.message}, {}
-        # Retryable failures answer 503 + Retry-After so well-behaved
-        # clients back off and try again; terminal failures stay 500
-        # (a retry would reproduce them).  Either way the structured
-        # record rides along for diagnosis (docs/service.md).
-        detail = exc.error.to_dict()
-        if exc.retryable:
-            retry_after = service.retry_after_hint()
-            body = {
-                "error": str(exc),
-                "error_detail": detail,
-                "retry_after_s": retry_after,
-            }
-            return 503, body, _retry_headers(retry_after)
-        return 500, {"error": str(exc), "error_detail": detail}, {}
+        # A plan is deterministic, so a retry would fail the same way:
+        # 500, with the structured record for diagnosis (docs/service.md).
+        return 500, {"error": str(exc), "error_detail": exc.error.to_dict()}, {}
     except ProtocolError as exc:
         # Raised by ``request.digest()`` for an unreadable ``matrix_path``.
         return 400, {"error": str(exc)}, {}

@@ -6,10 +6,9 @@ Endpoints (all JSON):
   object; replies ``200`` with ``{"served": ..., "plan": {...}}``,
   ``400`` on a malformed request, ``429`` + ``Retry-After`` when the
   admission queue sheds load, ``504`` on a per-request timeout, ``503``
-  + ``Retry-After`` while draining, ``500`` when the plan computation
-  failed *terminally*, and ``503`` + ``Retry-After`` when it failed with
-  a *retryable* error (failure bodies carry a structured
-  ``error_detail`` record -- see docs/service.md).
+  + ``Retry-After`` while draining, and ``500`` when the plan
+  computation raised (its body carries a structured ``error_detail``
+  record -- see docs/service.md).
 - ``POST /matrices/<digest>/delta`` -- body is a :class:`~repro.
   streaming.delta.DeltaBatch` wire object addressed at the *current
   head* digest of a registered matrix lineage; replies ``200`` with
@@ -44,6 +43,7 @@ import json
 import socket
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro.obs.tracer import get_tracer
 from repro.service import api
@@ -82,8 +82,12 @@ class PlanRequestHandler(BaseHTTPRequestHandler):
             self._send_reply(reply)
             span.set(status=reply[0])
 
+    def _route_path(self) -> str:
+        """The request path without its query string or trailing ``/``."""
+        return urlsplit(self.path).path.rstrip("/") or "/"
+
     def _post_reply(self) -> api.Reply:
-        path = self.path.rstrip("/")
+        path = self._route_path()
         service = self.server.service
         try:
             length = self._body_length()
@@ -104,7 +108,7 @@ class PlanRequestHandler(BaseHTTPRequestHandler):
         return self._not_found()
 
     def _get_reply(self) -> api.Reply:
-        path = self.path.rstrip("/") or "/"
+        path = self._route_path()
         service = self.server.service
         if path == "/healthz":
             return api.healthz_endpoint(service)

@@ -130,7 +130,6 @@ class LoadgenReport:
             counters.get("requests_completed", 0)
             + counters.get("requests_failed", 0)
             + counters.get("requests_timeout", 0)
-            + counters.get("requests_degraded", 0)
         )
         return accepted == settled
 
@@ -154,22 +153,21 @@ class LoadgenReport:
         lines.append(
             "server: accepted={requests_accepted} completed={requests_completed} "
             "failed={requests_failed} timeout={requests_timeout} "
-            "degraded={requests_degraded} rejected={requests_rejected} "
-            "coalesced={requests_coalesced} computed={plans_computed} "
-            "retried={plans_retried}".format(
+            "rejected={requests_rejected} coalesced={requests_coalesced} "
+            "computed={plans_computed}".format(
                 **{
                     k: counters.get(k, 0)
                     for k in (
                         "requests_accepted", "requests_completed", "requests_failed",
-                        "requests_timeout", "requests_degraded", "requests_rejected",
-                        "requests_coalesced", "plans_computed", "plans_retried",
+                        "requests_timeout", "requests_rejected",
+                        "requests_coalesced", "plans_computed",
                     )
                 }
             )
         )
         lines.append(
             "counters reconcile "
-            "(accepted = completed + failed + timeout + degraded): "
+            "(accepted = completed + failed + timeout): "
             + ("yes" if self.reconciles() else "NO")
         )
         lines.append(f"dropped connections (transport errors): {self.transport_errors}")
@@ -304,8 +302,8 @@ def run_pass(
                     retries < max_retries
                     and (status == 429 or (status == 503 and retry_after))
                 ):
-                    # Backpressure (429) and retryable plan failures
-                    # (503 + Retry-After) are both invitations to retry.
+                    # Backpressure (429) and a draining server (503 +
+                    # Retry-After) are both invitations to retry.
                     retries += 1
                     try:
                         delay = float(retry_after) if retry_after else 0.05

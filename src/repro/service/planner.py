@@ -20,32 +20,26 @@ are the right grain here: one plan is milliseconds-to-seconds of
 numpy-heavy work that releases the GIL in its hot loops, and the store
 and coalescing map are cheap to share in-process.
 
-Failure handling (docs/service.md): a worker-side exception is captured
-as a typed :class:`~repro.faults.errors.StructuredError` (exception
-type, message, traceback tail, retryable flag) instead of a flattened
-string.  *Retryable* failures (timeouts, connection-shaped OS errors,
-:class:`~repro.faults.errors.RetryableError`) are retried in the worker
-under a bounded exponential-backoff-with-jitter
-:class:`~repro.faults.retry.RetryPolicy` before the error is surfaced;
-*terminal* failures surface immediately.  The most recent failures are
-kept in a ring exposed as ``last_errors`` in :meth:`PlanService.stats`.
-With ``degraded_fallback=True``, a request whose wait bound elapses
-receives a roofline-only fallback plan (label ``roofline-*``) instead of
-a :class:`PlanTimeout` -- graceful degradation for callers that prefer a
-coarse answer over none.
+Failure handling (docs/service.md): the same request on the same code
+gives the same plan, so a plan runs once and is never retried.  A
+worker-side exception is captured as a :class:`StructuredError`
+(exception type, message, traceback tail) and raised to every waiter as
+:class:`PlanFailed`; the most recent :data:`ERROR_RING` failures are
+exposed as ``last_errors`` in :meth:`PlanService.stats`.  An elapsed
+wait raises :class:`PlanTimeout`.
 
 Counter semantics (the reconciliation the load generator checks):
 
-- every arriving request ends in exactly one of ``requests_rejected``,
-  ``requests_timeout``, ``requests_failed``, ``requests_degraded``, or
-  ``requests_completed``;
+- every admitted request ends in exactly one of ``requests_timeout``,
+  ``requests_failed``, or ``requests_completed``; a request shed by the
+  full queue ends in ``requests_rejected``, and one refused while the
+  service drains counts in none;
 - ``requests_accepted`` counts everything admitted past backpressure
   (store hits, coalesced joins, and new computations), so after a drain
-  ``accepted == completed + failed + timeout + degraded``;
+  ``accepted == completed + failed + timeout``;
 - ``requests_coalesced`` is informational (a subset of ``accepted``);
 - ``plans_computed`` / ``plans_cancelled`` count unique computations,
-  not requests; ``plans_retried`` counts retry attempts after
-  retryable failures (also not requests).
+  not requests.
 """
 
 from __future__ import annotations
@@ -55,13 +49,12 @@ import dataclasses
 import queue
 import threading
 import time
+import traceback
 from typing import Any, Deque, Dict, Mapping, Optional, Tuple, Union
 
-from repro.faults.errors import StructuredError, is_retryable
-from repro.faults.retry import RetryPolicy
 from repro.obs.tracer import get_tracer
 from repro.service.metrics import MetricsRegistry
-from repro.service.protocol import PlanRequest, PlanResult
+from repro.service.protocol import PlanRequest, PlanResult, is_wait_bound
 from repro.service.store import PlanStore
 from repro.streaming.delta import DeltaBatch
 from repro.streaming.lineage import LineageRegistry, LineageUpdate, MatrixLineage
@@ -71,8 +64,17 @@ __all__ = [
     "PlanTimeout",
     "PlanFailed",
     "ServiceClosed",
+    "StructuredError",
     "PlanService",
+    "check_settings",
 ]
+
+#: Failures kept for ``last_errors`` in :meth:`PlanService.stats`.
+ERROR_RING = 16
+#: Matrix lineages a service keeps for streaming deltas (oldest evicted).
+MAX_LINEAGES = 64
+#: Traceback lines a :class:`StructuredError` keeps.
+TRACEBACK_TAIL_LINES = 10
 
 
 class AdmissionRejected(RuntimeError):
@@ -91,21 +93,43 @@ class PlanTimeout(TimeoutError):
         self.digest = digest
 
 
+@dataclasses.dataclass(frozen=True)
+class StructuredError:
+    """The record of one worker-side failure.
+
+    It is what :class:`PlanFailed` carries, what a ``500`` answers as
+    ``error_detail``, and what ``last_errors`` in ``/stats`` lists.
+    """
+
+    type: str  #: exception class name
+    message: str
+    traceback_tail: str = ""  #: last traceback lines, newline-joined
+
+    def __str__(self) -> str:
+        return f"{self.type}: {self.message}"
+
+    def to_dict(self) -> Dict[str, Any]:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_exception(cls, exc: BaseException) -> "StructuredError":
+        """Capture ``exc`` with the last :data:`TRACEBACK_TAIL_LINES` lines."""
+        lines = traceback.format_exception(type(exc), exc, exc.__traceback__)
+        tail = "".join(lines)[-4096:]
+        tail = "\n".join(tail.strip().splitlines()[-TRACEBACK_TAIL_LINES:])
+        return cls(type=type(exc).__name__, message=str(exc), traceback_tail=tail)
+
+
 class PlanFailed(RuntimeError):
     """The plan computation raised; carries the structured worker error.
 
-    ``error`` is the :class:`~repro.faults.errors.StructuredError`
-    record (type, message, traceback tail, retryable flag); ``str(exc)``
-    stays the ``"Type: message"`` form earlier callers parsed.
+    ``error`` is the :class:`StructuredError` record; ``str(exc)`` is
+    its ``"Type: message"`` form.
     """
 
     def __init__(self, error: StructuredError) -> None:
         super().__init__(str(error))
         self.error = error
-
-    @property
-    def retryable(self) -> bool:
-        return self.error.retryable
 
 
 class ServiceClosed(RuntimeError):
@@ -133,6 +157,23 @@ class _Inflight:
 _SENTINEL = object()  #: shutdown: the receiving worker exits (close())
 
 
+def check_settings(workers: int, queue_depth: int, default_timeout_s: float) -> None:
+    """Raise :class:`ValueError` unless :class:`PlanService` can run with these.
+
+    ``hottiles serve`` checks its flags with this before it creates or
+    binds anything.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if queue_depth < 1:
+        raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
+    if not is_wait_bound(default_timeout_s):
+        raise ValueError(
+            "default_timeout_s must be a positive number of seconds, at most "
+            f"{threading.TIMEOUT_MAX:g}, got {default_timeout_s}"
+        )
+
+
 class PlanService:
     """Async plan-serving: admission control, coalescing, worker pool."""
 
@@ -142,35 +183,21 @@ class PlanService:
         workers: int = 2,
         queue_depth: int = 16,
         default_timeout_s: float = 60.0,
-        metrics: Optional[MetricsRegistry] = None,
-        retry: Optional[RetryPolicy] = None,
-        degraded_fallback: bool = False,
-        error_ring: int = 16,
-        track_lineage: bool = True,
-        max_lineages: int = 64,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
+        check_settings(workers, queue_depth, default_timeout_s)
         self.store = store if store is not None else PlanStore()
         self.workers = int(workers)
         self.queue_depth = int(queue_depth)
         self.default_timeout_s = float(default_timeout_s)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.degraded_fallback = bool(degraded_fallback)
-        self.track_lineage = bool(track_lineage)
-        self.lineages = LineageRegistry(max_lineages=max_lineages)
+        self.metrics = MetricsRegistry()
+        self.lineages = LineageRegistry(max_lineages=MAX_LINEAGES)
         self.started_unix = time.time()
-        self._retry_rng = self.retry.rng()
-        self._errors: Deque[Dict[str, Any]] = collections.deque(maxlen=error_ring)
+        self._errors: Deque[Dict[str, Any]] = collections.deque(maxlen=ERROR_RING)
 
         self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_depth)
         self._inflight: Dict[str, _Inflight] = {}
         self._lock = threading.Lock()
         self._closed = False
-        self._discard = False
         self._shutdown_started = False
         self._deltas_inflight = 0
         self._deltas_idle = threading.Event()
@@ -183,14 +210,12 @@ class PlanService:
         self._completed = m.counter("requests_completed")
         self._failed = m.counter("requests_failed")
         self._timeout = m.counter("requests_timeout")
-        self._degraded = m.counter("requests_degraded")
         self._computed = m.counter("plans_computed")
         # Which runtime model selected each computed plan (audit trail;
         # 'contention' only appears for PCIe-attached architectures).
         self._scored_contention = m.counter("plans_scored_contention")
         self._scored_naive = m.counter("plans_scored_naive")
         self._cancelled = m.counter("plans_cancelled")
-        self._retried = m.counter("plans_retried")
         self._deltas_applied = m.counter("deltas_applied")
         self._tiles_repaired = m.counter("tiles_repaired")
         self._queue_gauge = m.gauge("queue_depth")
@@ -219,9 +244,7 @@ class PlanService:
 
         Returns ``(result, served)`` where ``served`` is ``"store"``
         (warm hit), ``"computed"`` (this request triggered the
-        computation), ``"coalesced"`` (joined an in-flight one), or
-        ``"degraded"`` (wait bound elapsed and ``degraded_fallback``
-        produced a roofline-only plan).
+        computation), or ``"coalesced"`` (joined an in-flight one).
 
         Raises :class:`ServiceClosed`, :class:`AdmissionRejected`,
         :class:`PlanTimeout`, :class:`PlanFailed`, or
@@ -229,9 +252,8 @@ class PlanService:
 
         Every call emits exactly one ``service.request`` span on the
         global tracer, annotated with the request digest and its final
-        outcome (``store`` / ``computed`` / ``coalesced`` / ``degraded``
-        / ``rejected`` / ``timeout`` / ``failed`` / ``closed``) -- the
-        invariant the
+        outcome (``store`` / ``computed`` / ``coalesced`` / ``rejected``
+        / ``timeout`` / ``failed`` / ``closed``) -- the invariant the
         tracing concurrency test reconciles against the counters above.
         """
         with get_tracer().span("service.request", cat="service") as req_span:
@@ -293,12 +315,6 @@ class PlanService:
                 entry.waiters -= 1
                 if entry.waiters <= 0 and not entry.started:
                     entry.cancelled = True
-            if self.degraded_fallback:
-                fallback = self._degraded_plan(request, digest, tracer)
-                if fallback is not None:
-                    self._degraded.inc()
-                    self._latency.observe(time.monotonic() - start)
-                    return fallback, "degraded"
             self._timeout.inc()
             raise PlanTimeout(digest, timeout_s)
         if entry.error is not None:
@@ -439,76 +455,6 @@ class PlanService:
         p50 = self._plan_wall.percentile(50)
         return max(0.05, min(p50 if p50 > 0 else 0.1, 5.0))
 
-    def _degraded_plan(
-        self, request: PlanRequest, digest: str, tracer: Any
-    ) -> Optional[PlanResult]:
-        """Roofline-only fallback for a request whose wait bound elapsed.
-
-        Skips the scan/partition/format-generation pipeline entirely:
-        resolve the matrix, predict the whole-matrix runtime of each
-        worker group with the holistic roofline (PCIe-capped bandwidth
-        for the hot group, as in the IUnaware baseline), and answer with
-        the faster group's homogeneous plan.  The result is *not*
-        published to the store -- it is a coarse stopgap, not the real
-        plan (docs/service.md).  Returns ``None`` if even the fallback
-        fails, in which case the caller falls through to PlanTimeout.
-        """
-        from repro.core.contention import effective_cold_bw, effective_hot_bw
-        from repro.core.roofline import roofline_estimate
-
-        start = time.monotonic()
-        try:
-            with tracer.span("service.degraded", cat="service", digest=digest[:12]):
-                matrix = request.resolve_matrix()
-                arch = request.build_architecture()
-                # Same drain-rate caps as the contention evaluator: the hot
-                # group is serialized through PCIe *and* DRAM; the cold
-                # group through DRAM (and its own aggregate peak rate).
-                bw = effective_cold_bw(arch)
-                hot_bw = effective_hot_bw(arch)
-                candidates = []
-                if arch.hot.count > 0:
-                    th = roofline_estimate(
-                        matrix, arch.hot.traits, arch.problem, hot_bw
-                    ).time_s
-                    candidates.append((th / arch.hot.count, "roofline-hot-only", 1.0))
-                if arch.cold.count > 0:
-                    tc = roofline_estimate(
-                        matrix, arch.cold.traits, arch.problem, bw
-                    ).time_s
-                    candidates.append((tc / arch.cold.count, "roofline-cold-only", 0.0))
-                predicted_s, label, hot_frac = min(candidates)
-                return PlanResult(
-                    digest=digest,
-                    arch=request.arch,
-                    scale=request.scale,
-                    n_rows=matrix.n_rows,
-                    n_cols=matrix.n_cols,
-                    nnz=matrix.nnz,
-                    label=label,
-                    mode="parallel",
-                    n_tiles=0,
-                    hot_tiles=0,
-                    hot_nnz_fraction=hot_frac,
-                    predicted_time_s=predicted_s,
-                    scan_s=0.0,
-                    partition_s=0.0,
-                    format_generation_s=0.0,
-                    plan_wall_s=time.monotonic() - start,
-                    artifacts=(),
-                    created_unix=time.time(),
-                    naive_time_s=predicted_s,
-                    scorer="roofline",
-                )
-        except Exception as exc:  # noqa: BLE001 -- fallback is best-effort
-            tracer.event(
-                "service.degraded_failed",
-                cat="service",
-                digest=digest[:12],
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return None
-
     # ------------------------------------------------------------------
     # The worker side
     # ------------------------------------------------------------------
@@ -520,17 +466,12 @@ class PlanService:
             tracer = get_tracer()
             self._queue_gauge.set(self._queue.qsize())
             with self._lock:
-                if item.cancelled or self._discard:
-                    # A request may already have registered a replacement
+                if item.cancelled:
+                    # Every waiter left before a worker picked it up.  A
+                    # request may already have registered a replacement
                     # for this digest; deregister only this entry.
                     if self._inflight.get(item.digest) is item:
                         del self._inflight[item.digest]
-                    item.error = StructuredError(
-                        type="Cancelled",
-                        message="cancelled before execution",
-                        retryable=True,
-                    )
-                    item.event.set()
                     self._cancelled.inc()
                     tracer.event(
                         "service.cancelled", cat="service", digest=item.digest[:12]
@@ -554,7 +495,10 @@ class PlanService:
             self._inflight_gauge.inc()
             start = time.monotonic()
             try:
-                item.result = self._compute_with_retry(item)
+                with tracer.span(
+                    "service.compute", cat="service", digest=item.digest[:12]
+                ):
+                    item.result = self._compute(item.request, item.digest)
             except Exception as exc:  # noqa: BLE001 -- surfaced to every waiter
                 item.error = StructuredError.from_exception(exc)
                 self._record_error(item.digest, item.error)
@@ -567,45 +511,9 @@ class PlanService:
                 self._computed.inc()
                 self._plan_wall.observe(wall)
 
-    def _compute_with_retry(self, item: _Inflight) -> PlanResult:
-        """Run one computation under the bounded-backoff retry policy.
-
-        Only *retryable* failures are retried, and only while the
-        service is open; the exception that finally escapes is the
-        underlying one (not a wrapper), so the ``StructuredError`` the
-        waiters receive names the real fault.
-        """
-        tracer = get_tracer()
-        policy = self.retry
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                with tracer.span(
-                    "service.compute", cat="service", digest=item.digest[:12]
-                ):
-                    return self._compute(item.request, item.digest)
-            except Exception as exc:  # noqa: BLE001 -- classified below
-                if (
-                    not is_retryable(exc)
-                    or attempt == policy.max_attempts
-                    or self._closed
-                ):
-                    raise
-                self._retried.inc()
-                tracer.event(
-                    "service.retry",
-                    cat="service",
-                    digest=item.digest[:12],
-                    attempt=attempt,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                with self._lock:
-                    delay = policy.delay_s(attempt, self._retry_rng)
-                time.sleep(delay)
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def _record_error(self, digest: str, error: StructuredError) -> None:
         """Append one failure to the ``last_errors`` ring (``/stats``)."""
-        record = dict(error.to_dict())
+        record = error.to_dict()
         record["digest"] = digest[:12]
         record["unix"] = time.time()
         with self._lock:
@@ -642,19 +550,16 @@ class PlanService:
         # store already holds the result.
         with tracer.span("service.store_publish", cat="service", digest=digest[:12]):
             self.store.put(result)
-        if self.track_lineage:
-            with tracer.span(
-                "service.register_lineage", cat="service", digest=digest[:12]
-            ):
-                self.lineages.register(
-                    MatrixLineage(
-                        digest,
-                        preprocess.tiled,
-                        preprocessor.partitioner,
-                        result=preprocess.partition,
-                        meta=result,
-                    )
+        with tracer.span("service.register_lineage", cat="service", digest=digest[:12]):
+            self.lineages.register(
+                MatrixLineage(
+                    digest,
+                    preprocess.tiled,
+                    preprocessor.partitioner,
+                    result=preprocess.partition,
+                    meta=result,
                 )
+            )
         return result
 
     # ------------------------------------------------------------------
@@ -670,8 +575,6 @@ class PlanService:
             "workers": self.workers,
             "queue_depth": self.queue_depth,
             "default_timeout_s": self.default_timeout_s,
-            "degraded_fallback": self.degraded_fallback,
-            "retry_max_attempts": self.retry.max_attempts,
         }
         with self._lock:
             snapshot["last_errors"] = list(self._errors)
@@ -682,7 +585,7 @@ class PlanService:
     def closed(self) -> bool:
         return self._closed
 
-    def begin_close(self, drain: bool = True) -> bool:
+    def begin_close(self) -> bool:
         """Atomically stop admission without waiting for shutdown.
 
         The first caller wins (returns ``True``); from that point every
@@ -695,18 +598,15 @@ class PlanService:
             if self._closed:
                 return False
             self._closed = True
-            if not drain:
-                self._discard = True
             return True
 
-    def close(self, drain: bool = True) -> None:
-        """Stop admission, finish (or discard) queued plans, join workers.
+    def close(self) -> None:
+        """Stop admission, finish every admitted plan, join the workers.
 
-        ``drain=True`` lets every already-admitted plan complete so no
-        accepted request is abandoned; ``drain=False`` cancels whatever a
-        worker has not yet started.  Idempotent.
+        No accepted request is abandoned: a plan admitted before the
+        drain began still runs and answers its waiters.  Idempotent.
         """
-        self.begin_close(drain)
+        self.begin_close()
         with self._lock:
             if self._shutdown_started:
                 return
@@ -727,4 +627,4 @@ class PlanService:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self.close(drain=True)
+        self.close()

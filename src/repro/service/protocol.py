@@ -18,16 +18,37 @@ artifacts.
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-__all__ = ["ProtocolError", "PlanRequest", "PlanResult", "GENERATOR_KINDS"]
+__all__ = [
+    "ProtocolError",
+    "PlanRequest",
+    "PlanResult",
+    "GENERATOR_KINDS",
+    "is_wait_bound",
+]
 
 
 class ProtocolError(ValueError):
     """A malformed or unsatisfiable plan request."""
+
+
+def is_wait_bound(value: Any) -> bool:
+    """True for a usable wait bound: a number in ``(0, threading.TIMEOUT_MAX]``.
+
+    A plan request waits with ``threading.Event.wait``, which raises
+    ``OverflowError`` for a bound above ``threading.TIMEOUT_MAX`` (``inf``
+    included).  NaN fails the comparison and is rejected too.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 < value <= threading.TIMEOUT_MAX
+    )
 
 
 #: Deterministic synthetic-matrix generators requests may name, with the
@@ -91,12 +112,11 @@ class PlanRequest:
             )
         if not isinstance(self.scale, int) or isinstance(self.scale, bool) or self.scale < 1:
             raise ProtocolError(f"scale must be a positive integer, got {self.scale!r}")
-        if self.timeout_s is not None and (
-            not isinstance(self.timeout_s, (int, float))
-            or isinstance(self.timeout_s, bool)
-            or self.timeout_s <= 0
-        ):
-            raise ProtocolError("timeout_s must be a positive number")
+        if self.timeout_s is not None and not is_wait_bound(self.timeout_s):
+            raise ProtocolError(
+                "timeout_s must be a positive number of seconds, at most "
+                f"{threading.TIMEOUT_MAX:g}"
+            )
         specs = [
             s for s in (self.matrix, self.matrix_path, self.generator) if s is not None
         ]
@@ -251,7 +271,7 @@ class PlanResult:
     artifacts: Tuple[str, ...] = field(default_factory=tuple)
     created_unix: float = 0.0
     naive_time_s: float = 0.0  #: Fig. 8 closed-form prediction (audit trail)
-    scorer: str = "naive"  #: which model selected the plan: 'contention' | 'naive' | 'roofline'
+    scorer: str = "naive"  #: which model selected the plan: 'contention' | 'naive'
 
     def to_dict(self) -> Dict[str, Any]:
         out = asdict(self)

@@ -8,7 +8,6 @@ of the contract is hit exactly.
 
 import pytest
 
-from repro.faults.errors import StructuredError
 from repro.service import api
 from repro.service.planner import (
     AdmissionRejected,
@@ -16,6 +15,7 @@ from repro.service.planner import (
     PlanService,
     PlanTimeout,
     ServiceClosed,
+    StructuredError,
 )
 from repro.service.protocol import PlanRequest
 from repro.service.store import PlanStore
@@ -91,23 +91,19 @@ class TestPlanEndpoint:
         assert headers == {"Retry-After": "0.400"}
 
     def test_generator_rejection_at_compute_time_is_400(self):
-        error = StructuredError(type="ProtocolError", message="bad nnz", retryable=False)
+        error = StructuredError(type="ProtocolError", message="bad nnz")
         status, body, headers = api.plan_endpoint(RaisingService(PlanFailed(error)), RMAT)
         assert (status, body, headers) == (400, {"error": "bad nnz"}, {})
 
-    def test_retryable_failure_is_503_with_detail(self):
-        error = StructuredError(type="TimeoutError", message="slow", retryable=True)
-        status, body, headers = api.plan_endpoint(RaisingService(PlanFailed(error)), RMAT)
-        assert status == 503
-        assert body["error_detail"] == error.to_dict()
-        assert body["retry_after_s"] == 0.25
-        assert headers == {"Retry-After": "0.250"}
-
-    def test_terminal_failure_is_500_without_retry_after(self):
-        error = StructuredError(type="KeyError", message="'x'", retryable=False)
+    @pytest.mark.parametrize("type_name", ["KeyError", "TimeoutError", "ConnectionError"])
+    def test_compute_failure_is_500_without_retry_after(self, type_name):
+        error = StructuredError(type=type_name, message="'x'", traceback_tail="tb")
         status, body, headers = api.plan_endpoint(RaisingService(PlanFailed(error)), RMAT)
         assert status == 500
-        assert body == {"error": "KeyError: 'x'", "error_detail": error.to_dict()}
+        assert body == {
+            "error": f"{type_name}: 'x'",
+            "error_detail": {"type": type_name, "message": "'x'", "traceback_tail": "tb"},
+        }
         assert headers == {}
 
     @pytest.mark.parametrize("payload", [[], "plan", 7])
@@ -221,8 +217,6 @@ class TestHealthAndStats:
             "workers": 1,
             "queue_depth": 4,
             "default_timeout_s": 60.0,
-            "degraded_fallback": False,
-            "retry_max_attempts": service.retry.max_attempts,
         }
         assert set(body["gauges"]) == {"queue_depth", "plans_in_flight"}
         assert set(body) == {

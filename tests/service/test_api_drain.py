@@ -1,4 +1,4 @@
-"""Drain-safety regression: deltas vs ``close(drain=True)``.
+"""Drain-safety regression: deltas vs ``close()``.
 
 The contract (docs/service.md): a draining service answers every new
 delta ``503`` + ``Retry-After``, and a delta admitted *before* the drain
@@ -36,7 +36,7 @@ def service(tmp_path):
 class TestDeltaDuringDrain:
     def test_begin_close_opens_the_503_window_synchronously(self, service):
         base, _ = service.plan(PlanRequest.from_dict(RMAT))
-        assert service.begin_close(drain=True)
+        assert service.begin_close()
         # From this instant -- before close() has joined anything -- a
         # delta must answer 503 + Retry-After through the endpoint layer.
         status, body, headers = api.delta_endpoint(service, base.digest, DELTA)
@@ -52,7 +52,7 @@ class TestDeltaDuringDrain:
 
     def test_raw_apply_delta_raises_service_closed(self, service):
         base, _ = service.plan(PlanRequest.from_dict(RMAT))
-        service.begin_close(drain=True)
+        service.begin_close()
         with pytest.raises(ServiceClosed):
             service.apply_delta(base.digest, DELTA)
 
@@ -86,7 +86,7 @@ class TestDeltaDuringDrain:
         delta_thread.start()
         assert started.wait(10.0)
 
-        closer = threading.Thread(target=lambda: service.close(drain=True))
+        closer = threading.Thread(target=service.close)
         closer.start()
         time.sleep(0.2)
         # close() must be parked on the in-flight delta, not returned.
@@ -107,7 +107,7 @@ class TestDeltaDuringDrain:
     def test_delta_after_full_close_is_503_with_retry_after(self, service):
         base, _ = service.plan(PlanRequest.from_dict(RMAT))
         result, update = service.apply_delta(base.digest, DELTA)
-        service.close(drain=True)
+        service.close()
         status, _, headers = api.delta_endpoint(
             service, update.new_digest, {"delete_rows": [0], "delete_cols": [0]}
         )

@@ -17,7 +17,7 @@ from http.client import HTTPConnection
 
 import pytest
 
-from repro.faults.errors import StructuredError
+from repro.obs import Tracer, use_tracer
 from repro.service import api
 from repro.service.httpd import make_server
 from repro.service.planner import (
@@ -25,6 +25,7 @@ from repro.service.planner import (
     PlanFailed,
     PlanTimeout,
     ServiceClosed,
+    StructuredError,
 )
 from repro.service.protocol import ProtocolError
 from repro.streaming.lineage import StaleDigestError, UnknownLineageError
@@ -32,26 +33,37 @@ from repro.streaming.lineage import StaleDigestError, UnknownLineageError
 RMAT = {"generator": {"kind": "rmat", "scale": 8, "nnz": 2000, "seed": 0}}
 DIGEST = "ab" * 32
 HEAD = "cd" * 32
+STORED = "ef" * 32
 
 
-class EmptyStore:
+class StubPlan:
+    """Stands in for a :class:`PlanResult`."""
+
+    def to_dict(self):
+        return {"digest": STORED}
+
+
+class StubStore:
+    """Holds one plan, under :data:`STORED`."""
+
     def get(self, digest):
-        return None
+        return StubPlan() if digest == STORED else None
 
 
 class StubService:
     """Stands in for :class:`PlanService`.
 
-    ``plan`` and ``apply_delta`` raise ``exc``; ``fail_on`` names one
-    method that raises ``RuntimeError`` instead of answering, for the
-    outcomes no endpoint maps.
+    ``plan`` and ``apply_delta`` raise ``exc``; with no ``exc``,
+    ``plan`` answers the stored plan.  ``fail_on`` names one method that
+    raises ``RuntimeError`` instead of answering, for the outcomes no
+    endpoint maps.
     """
 
     def __init__(self, exc=None, closed=False, fail_on=None):
         self.exc = exc
         self._closed = closed
         self.fail_on = fail_on
-        self.store = EmptyStore()
+        self.store = StubStore()
         if fail_on == "store.get":
             self.store.get = self._boom
 
@@ -67,6 +79,8 @@ class StubService:
     def plan(self, request):
         if self.fail_on == "plan":
             self._boom()
+        if self.exc is None:
+            return StubPlan(), "store"
         raise self.exc
 
     def apply_delta(self, digest, payload):
@@ -134,8 +148,8 @@ def raw_exchange(port, data):
     return status, headers, json.loads(body)
 
 
-def _failed(type_name, retryable):
-    return PlanFailed(StructuredError(type=type_name, message="m", retryable=retryable))
+def _failed(type_name):
+    return PlanFailed(StructuredError(type=type_name, message="m", traceback_tail="tb"))
 
 
 #: (case id, stub, method, path, payload, api call giving the expected reply,
@@ -147,11 +161,9 @@ CONTRACT = [
      lambda s: api.plan_endpoint(s, RMAT), 504),
     ("plan-draining", StubService(ServiceClosed("service is shutting down")),
      "POST", "/plan", RMAT, lambda s: api.plan_endpoint(s, RMAT), 503),
-    ("plan-retryable-failure", StubService(_failed("TimeoutError", True)),
-     "POST", "/plan", RMAT, lambda s: api.plan_endpoint(s, RMAT), 503),
-    ("plan-terminal-failure", StubService(_failed("KeyError", False)),
+    ("plan-compute-failure", StubService(_failed("KeyError")),
      "POST", "/plan", RMAT, lambda s: api.plan_endpoint(s, RMAT), 500),
-    ("plan-generator-rejected", StubService(_failed("ProtocolError", False)),
+    ("plan-generator-rejected", StubService(_failed("ProtocolError")),
      "POST", "/plan", RMAT, lambda s: api.plan_endpoint(s, RMAT), 400),
     ("plan-unreadable-matrix", StubService(ProtocolError("cannot read matrix_path")),
      "POST", "/plan", RMAT, lambda s: api.plan_endpoint(s, RMAT), 400),
@@ -209,6 +221,52 @@ class TestStatusContractOverHTTP:
             assert exchange(conn, "GET", "/stats")[0] == 200
         finally:
             conn.close()
+
+
+class TestQueryString:
+    """Routing ignores a query string: each endpoint answers as without it."""
+
+    @pytest.mark.parametrize(
+        "stub, method, path, payload, status",
+        [
+            (StubService(), "GET", "/healthz", None, 200),
+            (StubService(), "GET", "/healthz/", None, 200),
+            (StubService(), "GET", "/stats", None, 200),
+            (StubService(), "GET", f"/plan/{STORED}", None, 200),
+            (StubService(), "POST", "/plan", RMAT, 200),
+            (StubService(), "POST", "/plan/", RMAT, 200),
+            (StubService(UnknownLineageError(DIGEST)),
+             "POST", f"/matrices/{DIGEST}/delta", {}, 404),
+        ],
+        ids=["healthz", "healthz-trailing-slash", "stats", "stored-plan",
+             "post-plan", "post-plan-trailing-slash", "delta"],
+    )
+    def test_query_string_gets_the_reply_without_it(
+        self, serve, stub, method, path, payload, status
+    ):
+        conn = HTTPConnection("127.0.0.1", serve(stub), timeout=10.0)
+        try:
+            plain = exchange(conn, method, path, payload)
+            queried = exchange(conn, method, path + "?probe=1&v=2", payload)
+        finally:
+            conn.close()
+        assert plain[0] == status
+        assert queried[:2] == plain[:2]
+
+    def test_not_found_and_the_span_name_the_full_path(self, serve):
+        conn = HTTPConnection("127.0.0.1", serve(StubService()), timeout=10.0)
+        try:
+            with use_tracer(Tracer(enabled=True)) as tracer:
+                reply = exchange(conn, "GET", "/nope?probe=1")
+                # The server records a span after sending its reply; the
+                # next reply on this connection comes after that.
+                exchange(conn, "GET", "/healthz")
+        finally:
+            conn.close()
+        assert reply[:2] == (404, {"error": "no such endpoint: /nope?probe=1"})
+        span = [s for s in tracer.spans() if s.name == "http.request"][0]
+        assert span.args["path"] == "/nope?probe=1"
+        assert span.args["status"] == 404
 
 
 class TestUnmappedErrors:

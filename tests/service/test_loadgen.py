@@ -139,8 +139,8 @@ class TestAccounting:
         "counters, ok",
         [
             ({"requests_accepted": 5, "requests_completed": 5}, True),
-            ({"requests_accepted": 6, "requests_completed": 3, "requests_failed": 1,
-              "requests_timeout": 1, "requests_degraded": 1}, True),
+            ({"requests_accepted": 5, "requests_completed": 3, "requests_failed": 1,
+              "requests_timeout": 1}, True),
             # Rejected requests were never accepted, so they do not count.
             ({"requests_accepted": 2, "requests_completed": 2,
               "requests_rejected": 7}, True),
@@ -152,9 +152,20 @@ class TestAccounting:
         assert report.reconciles() is ok
         assert report.to_dict()["reconciles"] is ok
         assert report.render().endswith(
-            "(accepted = completed + failed + timeout + degraded): "
+            "(accepted = completed + failed + timeout): "
             + ("yes" if ok else "NO")
             + "\ndropped connections (transport errors): 0"
+        )
+
+    def test_server_line_names_every_settled_counter(self):
+        counters = {"requests_accepted": 5, "requests_completed": 3,
+                    "requests_failed": 1, "requests_timeout": 1,
+                    "requests_rejected": 2, "requests_coalesced": 1,
+                    "plans_computed": 4}
+        report = LoadgenReport(passes=[], server_stats={"counters": counters})
+        assert report.render().splitlines()[0] == (
+            "server: accepted=5 completed=3 failed=1 timeout=1 rejected=2 "
+            "coalesced=1 computed=4"
         )
 
     def test_empty_pass_rates_are_zero(self):

@@ -57,8 +57,19 @@ def wait_for_queue(svc, size):
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("kwargs", [{"workers": 0}, {"queue_depth": 0}])
-    def test_rejects_empty_pool_or_queue(self, tmp_path, kwargs):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"workers": 0},
+            {"queue_depth": 0},
+            {"default_timeout_s": 0},
+            {"default_timeout_s": -1.0},
+            {"default_timeout_s": float("nan")},
+            {"default_timeout_s": float("inf")},
+            {"default_timeout_s": 1e300},
+        ],
+    )
+    def test_rejects_out_of_range_settings(self, tmp_path, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             PlanService(store=PlanStore(tmp_path / "p"), **kwargs)
 
@@ -371,44 +382,13 @@ class TestShutdown:
         while svc.metrics.counter("requests_accepted").value < 3:
             assert time.monotonic() < deadline
             time.sleep(0.01)
-        svc.close(drain=True)
+        svc.close()
         for t in threads:
             t.join()
         # Every admitted request completed; none were abandoned.
         assert len(results) == 3
         counters = svc.metrics.snapshot()["counters"]
         assert counters["requests_completed"] == counters["requests_accepted"]
-
-    def test_close_without_drain_cancels_queued_plans(self, tmp_path):
-        svc = PlanService(store=PlanStore(tmp_path / "p"), workers=1, queue_depth=8)
-        gate, blocker = hold_worker(svc, seed=1)
-        errors = []
-
-        def queued_call():
-            try:
-                svc.plan(rmat_request(seed=2), timeout_s=30.0)
-            except PlanFailed as exc:
-                errors.append(exc.error)
-
-        queued = threading.Thread(target=queued_call)
-        queued.start()
-        wait_for_queue(svc, 1)
-        closer = threading.Thread(target=svc.close, kwargs={"drain": False})
-        closer.start()
-        deadline = time.monotonic() + 5.0
-        while not svc.closed:
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        # The started plan still finishes; the queued one never runs.
-        gate.set()
-        for thread in (blocker, queued, closer):
-            thread.join(10.0)
-        assert [error.type for error in errors] == ["Cancelled"]
-        counters = svc.metrics.snapshot()["counters"]
-        assert counters["plans_computed"] == 1
-        assert counters["plans_cancelled"] == 1
-        assert counters["requests_completed"] == 1
-        assert counters["requests_failed"] == 1
 
     def test_close_racing_enqueue_still_computes_admitted_plan(self, tmp_path):
         # close() starts while a new plan is being enqueued.  The plan
@@ -419,7 +399,7 @@ class TestShutdown:
         closers = []
 
         def put_racing_close(item, *args, **kwargs):
-            closer = threading.Thread(target=svc.close, kwargs={"drain": True})
+            closer = threading.Thread(target=svc.close)
             closer.start()
             closers.append(closer)
             closer.join(0.5)
@@ -465,7 +445,7 @@ class TestShutdown:
             for thread in clients:
                 thread.start()
             time.sleep(0.2)
-            svc.close(drain=True)
+            svc.close()
             for thread in clients:
                 thread.join(30.0)
         finally:

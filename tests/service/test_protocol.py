@@ -93,6 +93,11 @@ class TestRequestValidation:
             ({"matrix": "pap", "timeout_s": "5"}, "timeout_s must be a positive number"),
             ({"matrix": "pap", "timeout_s": 0}, "timeout_s must be a positive number"),
             ({"matrix": None, "generator": None}, "exactly one"),
+            # Above threading.TIMEOUT_MAX the wait itself would raise.
+            ({"matrix": "pap", "timeout_s": float("inf")},
+             "timeout_s must be a positive number of seconds, at most"),
+            ({"matrix": "pap", "timeout_s": 1e300},
+             "timeout_s must be a positive number of seconds, at most"),
         ],
     )
     def test_rejects_mistyped_field(self, payload, message):

@@ -1,8 +1,15 @@
 """CLI tests."""
 
+import threading
+
 import pytest
 
 from repro.cli import EXPERIMENTS, SUBCOMMANDS, main
+
+TIMEOUT_RANGE = (
+    "default_timeout_s must be a positive number of seconds, at most "
+    f"{threading.TIMEOUT_MAX:g}"
+)
 
 
 class TestCli:
@@ -183,13 +190,18 @@ class TestVersionAndUnknown:
         assert "unknown experiment" not in err
 
     @pytest.mark.parametrize(
-        "argv", [["serve", "--cluster", "2"], ["loadgen", "--cluster"]]
+        "argv",
+        [
+            ["serve", "--cluster", "2"],
+            ["loadgen", "--cluster"],
+            ["serve", "--no-degraded-fallback"],
+        ],
     )
-    def test_removed_cluster_flag_is_a_usage_error(self, capsys, argv):
+    def test_removed_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --cluster" in capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
     def test_new_subcommands_listed(self, capsys):
         assert main(["list"]) == 0
@@ -225,6 +237,39 @@ class TestCacheCommand:
 
 
 class TestServeCommand:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--timeout", "0"], f"{TIMEOUT_RANGE}, got 0.0"),
+            (["--timeout", "-1"], f"{TIMEOUT_RANGE}, got -1.0"),
+            (["--timeout", "nan"], f"{TIMEOUT_RANGE}, got nan"),
+            (["--timeout", "inf"], f"{TIMEOUT_RANGE}, got inf"),
+            (["--timeout", "1e300"], f"{TIMEOUT_RANGE}, got 1e+300"),
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+            (["--queue-depth", "0"], "queue_depth must be >= 1, got 0"),
+            (["--store-max-bytes", "-5"], "--store-max-bytes must be >= 0"),
+        ],
+        ids=["timeout-0", "timeout-negative", "timeout-nan", "timeout-inf",
+             "timeout-1e300", "workers-0", "queue-depth-0",
+             "store-max-bytes-negative"],
+    )
+    def test_out_of_range_flag_exits_2_before_binding(
+        self, capsys, monkeypatch, tmp_path, flags, message
+    ):
+        import repro.service.httpd
+
+        def no_bind(*args, **kwargs):
+            raise AssertionError("the server was bound")
+
+        monkeypatch.setattr(repro.service.httpd, "make_server", no_bind)
+        store = tmp_path / "plans"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--store-dir", str(store), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines()[-1] == f"hottiles serve: error: {message}"
+        assert not store.exists()
+
     def test_serve_starts_serves_and_drains_on_sigint(self, tmp_path):
         import json
         import os
