@@ -237,14 +237,14 @@ class PlanService:
     # ------------------------------------------------------------------
     # The request path
     # ------------------------------------------------------------------
-    def plan(
-        self, request: PlanRequest, timeout_s: Optional[float] = None
-    ) -> Tuple[PlanResult, str]:
+    def plan(self, request: PlanRequest) -> Tuple[PlanResult, str]:
         """Serve one plan request, blocking until done or timed out.
 
-        Returns ``(result, served)`` where ``served`` is ``"store"``
-        (warm hit), ``"computed"`` (this request triggered the
-        computation), or ``"coalesced"`` (joined an in-flight one).
+        The wait is bounded by ``request.timeout_s``, or by the service's
+        ``default_timeout_s`` when the request sets none.  Returns
+        ``(result, served)`` where ``served`` is ``"store"`` (warm hit),
+        ``"computed"`` (this request triggered the computation), or
+        ``"coalesced"`` (joined an in-flight one).
 
         Raises :class:`ServiceClosed`, :class:`AdmissionRejected`,
         :class:`PlanTimeout`, :class:`PlanFailed`, or
@@ -258,7 +258,7 @@ class PlanService:
         """
         with get_tracer().span("service.request", cat="service") as req_span:
             try:
-                result, served = self._plan_traced(request, timeout_s, req_span)
+                result, served = self._plan_traced(request, req_span)
             except AdmissionRejected:
                 req_span.set(outcome="rejected")
                 raise
@@ -275,18 +275,17 @@ class PlanService:
             return result, served
 
     def _plan_traced(
-        self, request: PlanRequest, timeout_s: Optional[float], req_span: Any
+        self, request: PlanRequest, req_span: Any
     ) -> Tuple[PlanResult, str]:
         tracer = get_tracer()
         start = time.monotonic()
         if self._closed:
             raise ServiceClosed("service is shutting down")
-        if timeout_s is None:
-            timeout_s = (
-                request.timeout_s
-                if request.timeout_s is not None
-                else self.default_timeout_s
-            )
+        timeout_s = (
+            request.timeout_s
+            if request.timeout_s is not None
+            else self.default_timeout_s
+        )
         digest = request.digest()
         req_span.set(digest=digest[:12])
 

@@ -11,13 +11,15 @@ track cheaply:
 - :mod:`repro.streaming.apply` -- incremental application:
   :func:`apply_delta_matrix` merges a batch into the canonical COO/CSR
   arrays without a global re-sort, bit-identical to the from-scratch
-  construction, and :func:`apply_delta_tiled` retiles the merged matrix
-  as a fresh :class:`~repro.sparse.tiling.TiledMatrix` while reporting
+  construction, and :func:`~repro.streaming.apply.apply_delta_retiled`
+  (:func:`apply_delta_tiled` from a tiling) retiles the merged matrix as
+  a fresh :class:`~repro.sparse.tiling.TiledMatrix` while reporting
   which tiles went structurally dirty,
 - :mod:`repro.streaming.lineage` -- the service-side
   :class:`MatrixLineage` / :class:`LineageRegistry` tracking the mutable
-  head of each registered matrix so ``POST /matrices/{digest}/delta`` can
-  apply batches and repair plans incrementally.
+  head (matrix, cost table, digest chain) of each registered matrix so
+  ``POST /matrices/{digest}/delta`` can apply batches and repair plans
+  incrementally.
 
 ``SparseMatrix.apply_delta`` is a thin method wrapper over
 :func:`apply_delta_matrix`.  The partition-repair entry point

@@ -9,15 +9,18 @@ sorted) batch into the (already sorted) COO arrays with ``searchsorted``
 **bit-identical** -- every array, dtype and digest -- to constructing
 ``SparseMatrix`` from scratch on the mutated coordinates.
 
-The tiling is rebuilt, not merged: :func:`apply_delta_tiled` builds a
+The tiling is rebuilt, not merged: :func:`apply_delta_retiled` builds a
 ``TiledMatrix`` from the merged matrix, because the constructor's one
 unique-key sort costs less than merging the batch into the tile-major
 order (measured in docs/streaming.md), and every tiling is then the
-from-scratch one.  Alongside it, :func:`apply_delta_tiled` reports which
-tiles went *structurally dirty* (nonzero added or removed; value-only
-overwrites keep a tile clean).  That dirty set is what
+from-scratch one.  Alongside it, :func:`apply_delta_retiled` reports
+which tiles went *structurally dirty* (nonzero added or removed;
+value-only overwrites keep a tile clean).  That dirty set is what
 :func:`repro.core.partition.repair_plan` uses to skip re-costing clean
-tiles.
+tiles.  It starts from a matrix and a tile shape, so a caller that keeps
+only the matrix between batches (a :class:`~repro.streaming.lineage.
+MatrixLineage`) pays for a tiling only while it repairs;
+:func:`apply_delta_tiled` is the same step started from a tiling.
 
 The differential tests in ``tests/streaming/`` and the ``delta-replay``
 experiment check the merge against an independent rebuild of the
@@ -35,15 +38,20 @@ from repro.sparse.matrix import SparseMatrix
 from repro.sparse.tiling import TiledMatrix
 from repro.streaming.delta import DeltaBatch
 
-__all__ = ["DeltaApplyReport", "apply_delta_matrix", "apply_delta_tiled"]
+__all__ = [
+    "DeltaApplyReport",
+    "apply_delta_matrix",
+    "apply_delta_retiled",
+    "apply_delta_tiled",
+]
 
 
 @dataclass(frozen=True)
 class _MergeInfo:
     """The cells a delta actually changed: brand-new and removed nonzeros
     (sorted by canonical key) and the count of in-place value overwrites.
-    Internal to the streaming package: :func:`apply_delta_tiled` derives
-    the dirty tiles from it."""
+    Internal to the streaming package: :func:`apply_delta_retiled`
+    derives the dirty tiles from it."""
 
     ins_rows: np.ndarray
     ins_cols: np.ndarray
@@ -68,6 +76,11 @@ class DeltaApplyReport:
     @property
     def n_dirty_tiles(self) -> int:
         return int(self.dirty_tile_keys.shape[0])
+
+    @classmethod
+    def unchanged(cls, n_tiles: int) -> "DeltaApplyReport":
+        """The report of an empty batch on a tiling of ``n_tiles`` tiles."""
+        return cls(0, 0, 0, np.zeros(0, dtype=np.int64), n_tiles, n_tiles)
 
 
 def apply_delta_matrix(
@@ -141,19 +154,24 @@ def apply_delta_matrix(
     return result, _MergeInfo(ins_rows, ins_cols, del_rows, del_cols, n_overwrites)
 
 
-def apply_delta_tiled(
-    tiled: TiledMatrix, delta: DeltaBatch
+def apply_delta_retiled(
+    matrix: SparseMatrix,
+    tile_shape: Tuple[int, int],
+    delta: DeltaBatch,
+    tiles_before: int,
 ) -> Tuple[TiledMatrix, DeltaApplyReport]:
-    """Apply ``delta`` to a tiling; return the new tiling and report.
+    """Merge ``delta`` into ``matrix`` and tile the result; return both.
 
-    The matrix is merged by :func:`apply_delta_matrix` and retiled with
-    the same tile shape.  The dirty tiles are those holding an actual
-    delete or a brand-new insert.  An empty batch returns ``tiled`` itself.
+    The matrix is merged by :func:`apply_delta_matrix` and tiled with
+    ``tile_shape`` (``(tile_height, tile_width)``).  The dirty tiles are
+    those holding an actual delete or a brand-new insert.
+    ``tiles_before`` is the pre-delta tile count, which the report
+    carries.
     """
-    new_matrix, info = apply_delta_matrix(tiled.matrix, delta)
-    th, tw = tiled.tile_height, tiled.tile_width
-    new_tiled = tiled if delta.is_empty else TiledMatrix(new_matrix, th, tw)
-    npc = np.int64(max(tiled.n_panel_cols, 1))
+    new_matrix, info = apply_delta_matrix(matrix, delta)
+    th, tw = tile_shape
+    new_tiled = TiledMatrix(new_matrix, th, tw)
+    npc = np.int64(max(new_tiled.n_panel_cols, 1))
     dirty_keys = np.union1d(
         (info.del_rows // th) * npc + info.del_cols // tw,
         (info.ins_rows // th) * npc + info.ins_cols // tw,
@@ -163,6 +181,21 @@ def apply_delta_tiled(
         n_overwritten=info.n_overwrites,
         n_deleted=int(info.del_rows.shape[0]),
         dirty_tile_keys=dirty_keys,
-        tiles_before=tiled.n_tiles,
+        tiles_before=tiles_before,
         tiles_after=new_tiled.n_tiles,
+    )
+
+
+def apply_delta_tiled(
+    tiled: TiledMatrix, delta: DeltaBatch
+) -> Tuple[TiledMatrix, DeltaApplyReport]:
+    """Apply ``delta`` to a tiling; return the new tiling and report.
+
+    :func:`apply_delta_retiled` on ``tiled``'s matrix and tile shape.  An
+    empty batch returns ``tiled`` itself.
+    """
+    if delta.is_empty:
+        return tiled, DeltaApplyReport.unchanged(tiled.n_tiles)
+    return apply_delta_retiled(
+        tiled.matrix, (tiled.tile_height, tiled.tile_width), delta, tiled.n_tiles
     )

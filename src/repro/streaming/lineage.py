@@ -3,17 +3,28 @@
 The plan service is content-addressed: a digest names one immutable plan.
 Streaming deltas need a *mutable* notion on top -- "the current state of
 the matrix that digest was planned for".  A :class:`MatrixLineage` is
-that mutable head: it owns the evolving :class:`~repro.sparse.tiling.
-TiledMatrix`, the memoized :class:`~repro.core.partition.PartitionCache`,
-and the digest chain
+that mutable head: it owns the evolving :class:`~repro.sparse.matrix.
+SparseMatrix`, the memoized :class:`~repro.core.partition.PartitionCache`
+(the per-tile cost table), and the digest chain
 
     head_{k+1} = stable_digest(("delta-plan", head_k, delta_digest))
 
 so every post-delta plan gets its own content address while the chain
 stays verifiable.  Applying a batch runs the incremental pipeline --
-:func:`~repro.streaming.apply.apply_delta_tiled` then
+:func:`~repro.streaming.apply.apply_delta_retiled` then
 :func:`~repro.core.partition.repair_plan` -- under the lineage's lock,
 serializing writers per matrix.
+
+A lineage keeps no :class:`~repro.sparse.tiling.TiledMatrix`: each batch
+retiles the merged matrix anyway, so the tiling is rebuilt per batch and
+lives only inside :meth:`MatrixLineage.apply`.  Between batches a
+lineage holds what the next batch reads -- the matrix (``rows``,
+``cols``, ``vals``, ``indptr``: about 20 B per nonzero with int64
+indices and float32 values), the cost table and tile keys, and the
+plan's per-tile assignments.  For an rmat(11, 60k) plan that is
+1.24 MB, against 2.93 MB when a lineage also held its tiling
+(docs/streaming.md).  A registry keeps at most 64 lineages by default,
+so lineages cost at most 64 matrices of about 20 B per nonzero.
 
 The :class:`LineageRegistry` resolves *any* digest a lineage has ever
 carried back to the lineage, which lets ``POST /matrices/{digest}/delta``
@@ -38,7 +49,7 @@ from repro.core.partition import (
     repair_plan,
 )
 from repro.sparse.tiling import TiledMatrix
-from repro.streaming.apply import DeltaApplyReport, apply_delta_tiled
+from repro.streaming.apply import DeltaApplyReport, apply_delta_retiled
 from repro.streaming.delta import DeltaBatch
 
 __all__ = [
@@ -87,6 +98,15 @@ class LineageUpdate:
 class MatrixLineage:
     """The mutable head of one registered matrix.
 
+    ``tiled`` is the root's tiling: the lineage keeps its matrix and tile
+    shape, not the tiling.  Between batches it holds ``matrix`` (the
+    head's :class:`~repro.sparse.matrix.SparseMatrix`), ``tile_shape``,
+    ``partitioner``, ``cache`` (the head's
+    :class:`~repro.core.partition.PartitionCache`; ``cache.n_tiles`` is
+    the head's tile count), ``result`` (the head's plan) and
+    ``hot_nnz_fraction`` (of ``result.chosen``); an empty batch answers
+    from these alone.
+
     ``meta`` is an opaque slot for the owner (the plan service stashes the
     base :class:`~repro.service.protocol.PlanResult` there to derive
     repaired results without re-resolving the request).
@@ -103,15 +123,16 @@ class MatrixLineage:
         self._lock = threading.Lock()
         self.root_digest = digest
         self.head_digest = digest
-        self.tiled = tiled
+        self.matrix = tiled.matrix
+        self.tile_shape = (tiled.tile_height, tiled.tile_width)
         self.partitioner = partitioner
         if result is None:
             result = partitioner.partition(tiled)
         self.result = result
+        self.hot_nnz_fraction = result.chosen.hot_nnz_fraction(tiled)
         self.cache: PartitionCache = plan_cache_from(partitioner, tiled)
         self.meta = meta
         self.deltas_applied = 0
-        self.tiles_repaired_total = 0
 
     def apply(
         self, delta: DeltaBatch, expect_head: Optional[str] = None
@@ -122,7 +143,7 @@ class MatrixLineage:
         proceeds if the head still matches, else :class:`StaleDigestError`
         (checked under the lineage lock, so two appliers addressing the
         same head cannot both succeed).  An empty batch is a no-op: the
-        head digest, tiling and plan are unchanged and the delta counter
+        head digest, matrix and plan are unchanged and the delta counter
         does not advance.
         """
         from repro.experiments.cache import stable_digest
@@ -131,25 +152,23 @@ class MatrixLineage:
             if expect_head is not None and expect_head != self.head_digest:
                 raise StaleDigestError(expect_head, self.head_digest)
             if delta.is_empty:
-                n = self.tiled.n_tiles
+                n = self.cache.n_tiles
                 return LineageUpdate(
                     prev_digest=self.head_digest,
                     new_digest=self.head_digest,
-                    report=DeltaApplyReport(
-                        n_inserted=0, n_overwritten=0, n_deleted=0,
-                        dirty_tile_keys=self.cache.tile_keys[:0],
-                        tiles_before=n, tiles_after=n,
-                    ),
+                    report=DeltaApplyReport.unchanged(n),
                     repair=RepairStats(
                         n_tiles=n, tiles_repaired=0, tiles_pinned=n,
                         new_tiles=0, dropped_tiles=0,
                     ),
                     partition=self.result,
-                    nnz=self.tiled.matrix.nnz,
+                    nnz=self.matrix.nnz,
                     n_tiles=n,
-                    hot_nnz_fraction=self.result.chosen.hot_nnz_fraction(self.tiled),
+                    hot_nnz_fraction=self.hot_nnz_fraction,
                 )
-            new_tiled, report = apply_delta_tiled(self.tiled, delta)
+            new_tiled, report = apply_delta_retiled(
+                self.matrix, self.tile_shape, delta, self.cache.n_tiles
+            )
             outcome = repair_plan(
                 self.partitioner, new_tiled, self.cache, report.dirty_tile_keys
             )
@@ -157,21 +176,21 @@ class MatrixLineage:
             new_digest = stable_digest(
                 ("delta-plan", prev, delta.content_digest())
             )
-            self.tiled = new_tiled
+            self.matrix = new_tiled.matrix
             self.cache = outcome.cache
             self.result = outcome.result
+            self.hot_nnz_fraction = outcome.result.chosen.hot_nnz_fraction(new_tiled)
             self.head_digest = new_digest
             self.deltas_applied += 1
-            self.tiles_repaired_total += outcome.stats.tiles_repaired
             return LineageUpdate(
                 prev_digest=prev,
                 new_digest=new_digest,
                 report=report,
                 repair=outcome.stats,
                 partition=outcome.result,
-                nnz=new_tiled.matrix.nnz,
+                nnz=self.matrix.nnz,
                 n_tiles=new_tiled.n_tiles,
-                hot_nnz_fraction=outcome.result.chosen.hot_nnz_fraction(new_tiled),
+                hot_nnz_fraction=self.hot_nnz_fraction,
             )
 
 

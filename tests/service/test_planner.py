@@ -39,7 +39,7 @@ def hold_worker(svc, seed=99):
     real = svc._compute
     svc._compute = lambda request, digest: (gate.wait(10.0), real(request, digest))[1]
     thread = threading.Thread(
-        target=svc.plan, args=(rmat_request(seed=seed),), kwargs={"timeout_s": 30.0}
+        target=svc.plan, args=(rmat_request(seed=seed, timeout_s=30.0),)
     )
     thread.start()
     deadline = time.monotonic() + 5.0
@@ -122,7 +122,7 @@ class TestCoalescing:
         outcomes = []
 
         def call():
-            outcomes.append(svc.plan(rmat_request(), timeout_s=10.0))
+            outcomes.append(svc.plan(rmat_request(timeout_s=10.0)))
 
         threads = [threading.Thread(target=call) for _ in range(4)]
         for t in threads:
@@ -154,7 +154,7 @@ class TestBackpressure:
         svc._compute = lambda request, digest: (gate.wait(10.0), real(request, digest))[1]
 
         def call(seed):
-            svc.plan(rmat_request(seed=seed), timeout_s=30.0)
+            svc.plan(rmat_request(seed=seed, timeout_s=30.0))
 
         # Occupy the worker, then fill the single queue slot.
         t1 = threading.Thread(target=call, args=(1,))
@@ -184,7 +184,7 @@ class TestBackpressure:
         stored, _ = svc.plan(rmat_request(seed=0))
         gate, blocker = hold_worker(svc, seed=1)
         queued = threading.Thread(
-            target=svc.plan, args=(rmat_request(seed=2),), kwargs={"timeout_s": 30.0}
+            target=svc.plan, args=(rmat_request(seed=2, timeout_s=30.0),)
         )
         queued.start()
         wait_for_queue(svc, 1)
@@ -216,8 +216,7 @@ class TestQueueOrder:
 
         def submit(seed):
             thread = threading.Thread(
-                target=svc.plan, args=(rmat_request(seed=seed),),
-                kwargs={"timeout_s": 30.0},
+                target=svc.plan, args=(rmat_request(seed=seed, timeout_s=30.0),),
             )
             thread.start()
             threads.append(thread)
@@ -251,7 +250,7 @@ class TestTimeoutAndCancellation:
         real = svc._compute
         svc._compute = lambda request, digest: (gate.wait(10.0), real(request, digest))[1]
         blocker = threading.Thread(
-            target=lambda: svc.plan(rmat_request(seed=1), timeout_s=10.0)
+            target=lambda: svc.plan(rmat_request(seed=1, timeout_s=10.0))
         )
         blocker.start()
         deadline = time.monotonic() + 5.0
@@ -260,7 +259,7 @@ class TestTimeoutAndCancellation:
             time.sleep(0.01)
         # A second, queued plan abandoned by its only waiter is cancelled.
         with pytest.raises(PlanTimeout):
-            svc.plan(rmat_request(seed=2), timeout_s=0.05)
+            svc.plan(rmat_request(seed=2, timeout_s=0.05))
         gate.set()
         blocker.join()
         svc.close()
@@ -271,20 +270,19 @@ class TestTimeoutAndCancellation:
         assert counters["plans_computed"] == 1
 
     @pytest.mark.parametrize(
-        "service_bound, request_bound, call_bound",
-        [(0.05, None, None), (60.0, 0.05, None), (60.0, 30.0, 0.05)],
-        ids=["service-default", "request-field", "call-argument"],
+        "service_bound, request_bound",
+        [(0.05, None), (60.0, 0.05)],
+        ids=["service-default", "request-field"],
     )
-    def test_wait_bound_precedence(self, tmp_path, service_bound, request_bound,
-                                   call_bound):
-        # The call argument beats the request's timeout_s, which beats
-        # the service default; each case waits 0.05 s, not the others.
+    def test_wait_bound_precedence(self, tmp_path, service_bound, request_bound):
+        # The request's timeout_s beats the service default; each case
+        # waits 0.05 s, not the other bound.
         svc = PlanService(store=PlanStore(tmp_path / "p"), workers=1,
                           default_timeout_s=service_bound)
         gate, blocker = hold_worker(svc)
         overrides = {} if request_bound is None else {"timeout_s": request_bound}
         with pytest.raises(PlanTimeout, match=r"within 0\.050s"):
-            svc.plan(rmat_request(seed=1, **overrides), timeout_s=call_bound)
+            svc.plan(rmat_request(seed=1, **overrides))
         gate.set()
         blocker.join()
         svc.close()
@@ -307,7 +305,7 @@ class TestTimeoutAndCancellation:
 
         svc._compute = gated_compute
         blocker = threading.Thread(
-            target=svc.plan, args=(rmat_request(seed=1),), kwargs={"timeout_s": 30.0}
+            target=svc.plan, args=(rmat_request(seed=1, timeout_s=30.0),)
         )
         blocker.start()
         deadline = time.monotonic() + 5.0
@@ -315,11 +313,11 @@ class TestTimeoutAndCancellation:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         with pytest.raises(PlanTimeout):
-            svc.plan(rmat_request(seed=2), timeout_s=0.05)
+            svc.plan(rmat_request(seed=2, timeout_s=0.05))
         outcomes = []
 
         def request_seed_2():
-            outcomes.append(svc.plan(rmat_request(seed=2), timeout_s=30.0)[1])
+            outcomes.append(svc.plan(rmat_request(seed=2, timeout_s=30.0))[1])
 
         replacement = threading.Thread(target=request_seed_2)
         replacement.start()
@@ -373,7 +371,7 @@ class TestShutdown:
         results = []
 
         def call(seed):
-            results.append(svc.plan(rmat_request(seed=seed), timeout_s=30.0))
+            results.append(svc.plan(rmat_request(seed=seed, timeout_s=30.0)))
 
         threads = [threading.Thread(target=call, args=(s,)) for s in range(3)]
         for t in threads:
@@ -407,7 +405,7 @@ class TestShutdown:
 
         svc._queue.put_nowait = put_racing_close
         try:
-            result, served = svc.plan(rmat_request(), timeout_s=3.0)
+            result, served = svc.plan(rmat_request(timeout_s=3.0))
         finally:
             for closer in closers:
                 closer.join(10.0)
@@ -426,7 +424,7 @@ class TestShutdown:
         def client(first_seed):
             for seed in range(first_seed, first_seed + 10_000):
                 try:
-                    _, served = svc.plan(rmat_request(seed=seed), timeout_s=5.0)
+                    _, served = svc.plan(rmat_request(seed=seed, timeout_s=5.0))
                 except ServiceClosed:
                     served = "closed"
                 except PlanTimeout:

@@ -112,7 +112,7 @@ class TestComputeFailure:
 
             def call():
                 try:
-                    svc.plan(rmat_request(), timeout_s=30.0)
+                    svc.plan(rmat_request(timeout_s=30.0))
                 except PlanFailed as exc:
                     errors.append(exc.error)
 
@@ -173,7 +173,7 @@ class TestWaitBound:
             svc._compute = lambda request, digest: release.wait(5.0)
             try:
                 with pytest.raises(PlanTimeout):
-                    svc.plan(rmat_request(), timeout_s=0.05)
+                    svc.plan(rmat_request(timeout_s=0.05))
             finally:
                 release.set()
 
@@ -194,7 +194,7 @@ class TestOutcomeNamesTheCounter:
         try:
             with use_tracer(Tracer(enabled=True)) as tracer:
                 with pytest.raises(Exception):
-                    svc.plan(rmat_request(), timeout_s=0.05)
+                    svc.plan(rmat_request(timeout_s=0.05))
         finally:
             release.set()
             svc.close()

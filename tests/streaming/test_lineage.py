@@ -1,7 +1,10 @@
 """Lineage heads, digest chains, registry resolution, and the delta API."""
 
+import dataclasses
+import gc
 import json
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -43,7 +46,7 @@ class TestMatrixLineage:
         head = lineage.head_digest
         for seed in (0, 1):
             delta = DeltaBatch.random(
-                lineage.tiled.matrix, inserts=30, deletes=20, seed=seed
+                lineage.matrix, inserts=30, deletes=20, seed=seed
             )
             update = lineage.apply(delta)
             expected = stable_digest(("delta-plan", head, delta.content_digest()))
@@ -66,7 +69,7 @@ class TestMatrixLineage:
     def test_stale_expect_head_rejected(self, small_rmat, spade_sextans_arch):
         lineage = make_lineage(small_rmat, spade_sextans_arch)
         old_head = lineage.head_digest
-        delta = DeltaBatch.random(lineage.tiled.matrix, inserts=20, deletes=0, seed=0)
+        delta = DeltaBatch.random(lineage.matrix, inserts=20, deletes=0, seed=0)
         lineage.apply(delta, expect_head=old_head)
         with pytest.raises(StaleDigestError) as excinfo:
             lineage.apply(delta, expect_head=old_head)
@@ -75,14 +78,139 @@ class TestMatrixLineage:
 
     def test_apply_keeps_tiling_consistent(self, small_rmat, spade_sextans_arch):
         lineage = make_lineage(small_rmat, spade_sextans_arch)
-        delta = DeltaBatch.random(lineage.tiled.matrix, inserts=40, deletes=25, seed=3)
+        delta = DeltaBatch.random(lineage.matrix, inserts=40, deletes=25, seed=3)
         update = lineage.apply(delta)
-        assert update.nnz == lineage.tiled.matrix.nnz
-        assert update.n_tiles == lineage.tiled.n_tiles
+        assert update.nnz == lineage.matrix.nnz
+        assert update.n_tiles == lineage.cache.n_tiles
         assert 0.0 <= update.hot_nnz_fraction <= 1.0
         np.testing.assert_array_equal(
             lineage.result.chosen.assignment, update.partition.chosen.assignment
         )
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through instance state.
+
+    Classes, modules and code are not followed: they are shared program
+    state, not something the lineage holds.
+    """
+    shared = (type, types.ModuleType, types.FunctionType,
+              types.BuiltinFunctionType, types.MethodType, types.CodeType)
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, shared):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def _buffers(arrays):
+    """The distinct memory owners behind ``arrays`` (views resolved)."""
+    owners = {}
+    for array in arrays:
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        owners[id(array)] = array
+    return list(owners.values())
+
+
+def _assert_same_candidate(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b, field.name
+
+
+class TestWhatALineageHolds:
+    """A lineage keeps the head matrix and cost table, never a tiling."""
+
+    @pytest.mark.parametrize("n_deltas", [0, 2], ids=["fresh", "after-two-deltas"])
+    def test_holds_no_tiling(self, tmp_path, n_deltas):
+        request = PlanRequest.from_dict(
+            {"generator": {"kind": "rmat", "scale": 11, "nnz": 60_000, "seed": 0}}
+        )
+        head_matrix = request.resolve_matrix()
+        with PlanService(store=PlanStore(tmp_path / "plans"), workers=1) as svc:
+            base, _ = svc.plan(request)
+            head = base.digest
+            for seed in range(n_deltas):
+                delta = DeltaBatch.random(head_matrix, inserts=200, deletes=100, seed=seed)
+                head = svc.apply_delta(head, delta)[1].new_digest
+                head_matrix = head_matrix.apply_delta(delta)
+            lineage = svc.lineages.resolve(head)
+            held = _reachable(lineage)
+            assert not [obj for obj in held if isinstance(obj, TiledMatrix)]
+            held_bytes = sum(
+                b.nbytes for b in _buffers(o for o in held if isinstance(o, np.ndarray))
+            )
+            plans = [lineage.result.chosen, *lineage.result.candidates.values()]
+            allowed = [
+                head_matrix.rows, head_matrix.cols, head_matrix.vals,
+                head_matrix.indptr(), lineage.cache.tile_keys,
+                *lineage.cache.table.values(), *(p.assignment for p in plans),
+            ]
+            bound = sum(b.nbytes for b in _buffers(allowed))
+            assert held_bytes <= bound
+
+    def test_empty_batch_answers_the_current_head(
+        self, small_rmat, spade_sextans_arch
+    ):
+        # An empty batch answers from what the lineage holds; each answer
+        # must match tiling and partitioning the head matrix from scratch,
+        # at the root and after deltas that add and empty a tile.
+        arch = spade_sextans_arch
+        th, tw = arch.tile_height, arch.tile_width
+        lineage = make_lineage(small_rmat, arch)
+        expected = small_rmat
+
+        def check_head():
+            update = lineage.apply(DeltaBatch())
+            assert update.new_digest == update.prev_digest == lineage.head_digest
+            assert lineage.matrix == expected
+            tiled = TiledMatrix(lineage.matrix, th, tw)
+            scratch = HotTilesPartitioner(arch).partition(tiled)
+            assert update.nnz == tiled.matrix.nnz
+            assert update.n_tiles == tiled.n_tiles
+            assert update.hot_nnz_fraction == scratch.chosen.hot_nnz_fraction(tiled)
+            _assert_same_candidate(update.partition.chosen, scratch.chosen)
+
+        def apply(delta):
+            nonlocal expected
+            expected = expected.apply_delta(delta)
+            return lineage.apply(delta)
+
+        check_head()
+        # 1: one nonzero in a tile that holds none.
+        grid = TiledMatrix(expected, th, tw).density_map()
+        empty_row, empty_col = (int(i[0]) for i in np.nonzero(grid == 0))
+        update = apply(DeltaBatch(
+            insert_rows=[empty_row * th], insert_cols=[empty_col * tw],
+            insert_vals=[1.0],
+        ))
+        assert update.repair.new_tiles == 1
+        assert update.report.tiles_after == update.report.tiles_before + 1
+        check_head()
+        # 2: random churn.
+        apply(DeltaBatch.random(expected, inserts=40, deletes=25, seed=5))
+        # 3: delete every nonzero of the sparsest tile.
+        tiled = TiledMatrix(expected, th, tw)
+        sparsest = int(np.argmin(tiled.stats.nnz))
+        in_tile = (
+            (expected.rows // th == tiled.stats.tile_row[sparsest])
+            & (expected.cols // tw == tiled.stats.tile_col[sparsest])
+        )
+        update = apply(DeltaBatch(
+            delete_rows=expected.rows[in_tile], delete_cols=expected.cols[in_tile]
+        ))
+        assert update.repair.dropped_tiles == 1
+        assert update.report.tiles_after == update.report.tiles_before - 1
+        check_head()
+        assert lineage.deltas_applied == 3
 
 
 class TestLineageRegistry:
@@ -91,7 +219,7 @@ class TestLineageRegistry:
         lineage = make_lineage(small_rmat, spade_sextans_arch)
         registry.register(lineage)
         root = lineage.root_digest
-        delta = DeltaBatch.random(lineage.tiled.matrix, inserts=20, deletes=10, seed=0)
+        delta = DeltaBatch.random(lineage.matrix, inserts=20, deletes=10, seed=0)
         update = registry.apply(root, delta)
         # Both the root and the advanced head resolve to the same lineage.
         assert registry.resolve(root) is lineage
@@ -103,7 +231,7 @@ class TestLineageRegistry:
         lineage = make_lineage(small_rmat, spade_sextans_arch)
         registry.register(lineage)
         root = lineage.root_digest
-        delta = DeltaBatch.random(lineage.tiled.matrix, inserts=20, deletes=10, seed=1)
+        delta = DeltaBatch.random(lineage.matrix, inserts=20, deletes=10, seed=1)
         registry.apply(root, delta)
         with pytest.raises(StaleDigestError) as excinfo:
             registry.apply(root, delta)
