@@ -69,6 +69,7 @@ __all__ = [
     "granularity_floor",
     "granularity_floor_batch",
     "group_floors",
+    "unit_capacities",
     "effective_hot_bw",
     "effective_cold_bw",
 ]
@@ -186,25 +187,47 @@ def _unit_capacity(
     return np.minimum(float(n_instances), blocks)
 
 
+#: Each group's per-tile unit capacities, ``(hot, cold)``.
+UnitCapacities = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
+
+
+def unit_capacities(arch: Architecture, uniq_rids: np.ndarray) -> UnitCapacities:
+    """Every tile's unit capacity (:func:`_unit_capacity`) in each group.
+
+    ``(hot, cold)``; ``None`` for a group whose floor reads no capacity
+    (panel-affine workers, or at most one instance).  A tile's capacity
+    depends only on its own ``uniq_rids``, so a scorer computes this once
+    per cost table and indexes it for every assignment it scores.
+    """
+    hot, cold = (
+        None
+        if group.traits.panel_affine or group.count <= 1
+        else _unit_capacity(uniq_rids, group.count, arch.tile_height)
+        for group in (arch.hot, arch.cold)
+    )
+    return hot, cold
+
+
 def granularity_floor(
     times: np.ndarray,
-    uniq_rids: np.ndarray,
+    capacity: Optional[np.ndarray],
     panels: np.ndarray,
     selected: np.ndarray,
     *,
     traits: WorkerTraits,
     n_instances: int,
-    tile_height: int,
 ) -> float:
     """Lower bound on one group's time from scheduling granularity.
 
     ``times`` are the group's per-tile (first-of-type readjusted) model
-    times, ``selected`` the tiles assigned to it.  Panel-affine workers
-    process all of a panel's selected tiles on one instance, so the
-    floor is the largest per-panel time sum; untiled workers are bounded
-    by the most indivisible single tile, ``time / min(N, row blocks)``.
-    Zero when the group has at most one instance (its total time already
-    is the exact serialization) or no work.
+    times, ``capacity`` its per-tile unit capacities (its entry of
+    :func:`unit_capacities`), ``selected`` the tiles assigned to it.
+    Panel-affine workers process all of a panel's selected tiles on one
+    instance, so the floor is the largest per-panel time sum; untiled
+    workers are bounded by the most indivisible single tile,
+    ``time / min(N, row blocks)``.  Zero when the group has at most one
+    instance (its total time already is the exact serialization) or no
+    work.
 
     ``panels`` must be non-decreasing, as ``TiledMatrix.stats.tile_row``
     is and as a split candidate's expanded panels are.  A panel's
@@ -217,8 +240,7 @@ def granularity_floor(
         p = panels[selected]
         starts = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
         return float(np.add.reduceat(t, starts).max())
-    capacity = _unit_capacity(uniq_rids[selected], n_instances, tile_height)
-    return float((t / capacity).max())
+    return float((t / capacity[selected]).max())
 
 
 def granularity_floor_batch(
@@ -251,20 +273,21 @@ def group_floors(
     arch: Architecture,
     hot_times: np.ndarray,
     cold_times: np.ndarray,
-    uniq_rids: np.ndarray,
+    capacity: UnitCapacities,
     panels: np.ndarray,
     assignment: np.ndarray,
 ) -> Tuple[float, float]:
-    """Granularity floors for both groups of one candidate assignment."""
+    """Granularity floors for both groups of one candidate assignment.
+
+    ``capacity`` is the tiles' :func:`unit_capacities`.
+    """
     hot = granularity_floor(
-        hot_times, uniq_rids, panels, assignment,
+        hot_times, capacity[0], panels, assignment,
         traits=arch.hot.traits, n_instances=arch.hot.count,
-        tile_height=arch.tile_height,
     )
     cold = granularity_floor(
-        cold_times, uniq_rids, panels, ~assignment,
+        cold_times, capacity[1], panels, ~assignment,
         traits=arch.cold.traits, n_instances=arch.cold.count,
-        tile_height=arch.tile_height,
     )
     return hot, cold
 

@@ -306,7 +306,8 @@ class HotTilesPartitioner:
         cold = self.model.tile_costs(tiled, self.arch.cold.traits, first_mask=cold_first)
         [(time_s, _naive, totals)] = _score_modes(
             self, assignment, (hot.time_s, hot.bytes, cold.time_s, cold.bytes),
-            tiled.stats.uniq_rids, tiled.stats.tile_row, tiled.matrix.n_rows, [mode],
+            _capacities(self, tiled.stats.uniq_rids), tiled.stats.tile_row,
+            tiled.matrix.n_rows, [mode],
         )
         return time_s, totals
 
@@ -337,10 +338,11 @@ def _search(
     """
     arch = partitioner.arch
     n = tiled.n_tiles
+    capacity = _capacities(partitioner, tiled.stats.uniq_rids)
     if arch.hot.count == 0 or arch.cold.count == 0:
         assignment = np.full(n, arch.cold.count == 0, dtype=bool)
         [chosen] = _score_table(
-            partitioner, tiled, table, assignment,
+            partitioner, tiled, table, capacity, assignment,
             [("homogeneous", ExecutionMode.PARALLEL)],
         )
         return HotTilesResult(chosen=chosen, candidates={})
@@ -369,7 +371,7 @@ def _search(
         assignment = np.zeros(n, dtype=bool)
         assignment[order[: _cutoff_sweep(objective)]] = True
         results = _score_table(
-            partitioner, tiled, table, assignment,
+            partitioner, tiled, table, capacity, assignment,
             [(h.value, _HEURISTIC_MODE[h]) for h in group],
         )
         candidates.update(zip(group, results))
@@ -506,7 +508,10 @@ def exhaustive_partition(
     mode = modes[k % len(modes)]
     # Re-score the winner through the single-candidate path so the
     # returned time and totals are exactly what predicted_runtime reports.
-    [result] = _score_table(partitioner, tiled, table, assignment, [("exhaustive", mode)])
+    [result] = _score_table(
+        partitioner, tiled, table, _capacities(partitioner, tiled.stats.uniq_rids),
+        assignment, [("exhaustive", mode)],
+    )
     return result
 
 
@@ -706,11 +711,21 @@ def _compose(
     )
 
 
+def _capacities(
+    partitioner: HotTilesPartitioner, uniq_rids: np.ndarray
+) -> contention.UnitCapacities:
+    """The tiles' :func:`~repro.core.contention.unit_capacities`; none
+    when the naive scorer, which has no floors, applies."""
+    if not partitioner._contended():
+        return None, None
+    return contention.unit_capacities(partitioner.arch, uniq_rids)
+
+
 def _score_modes(
     partitioner: HotTilesPartitioner,
     assignment: np.ndarray,
     per_tile: _PerTile,
-    uniq_rids: np.ndarray,
+    capacity: contention.UnitCapacities,
     panels: np.ndarray,
     n_rows: int,
     modes: Sequence[ExecutionMode],
@@ -720,8 +735,10 @@ def _score_modes(
     The one scorer of every candidate.  Only ``t_merge`` and the serial
     flag depend on the mode, so the four group sums and the contention
     scorer's granularity floors are computed once for all ``modes``.
-    Works on arrays alone, so split candidates -- whose expanded tilings
-    exist only as arrays -- score through the same arithmetic.
+    ``capacity`` is :func:`_capacities` of the scored tiling, computed
+    once per cost table by the caller.  Works on arrays alone, so split
+    candidates -- whose expanded tilings exist only as arrays -- score
+    through the same arithmetic.
     """
     arch = partitioner.arch
     ht, hb, ct, cb = per_tile
@@ -734,7 +751,7 @@ def _score_modes(
     bc_total = float(cb[cold].sum()) if any_cold else 0.0
     floors = None
     if partitioner._contended():
-        floors = contention.group_floors(arch, ht, ct, uniq_rids, panels, assignment)
+        floors = contention.group_floors(arch, ht, ct, capacity, panels, assignment)
     scores = []
     for mode in modes:
         serial = mode is ExecutionMode.SERIAL
@@ -756,6 +773,7 @@ def _score_table(
     partitioner: HotTilesPartitioner,
     tiled: TiledMatrix,
     table: Dict[str, np.ndarray],
+    capacity: contention.UnitCapacities,
     assignment: np.ndarray,
     labeled_modes: Sequence[Tuple[str, ExecutionMode]],
 ) -> List[PartitionResult]:
@@ -768,7 +786,7 @@ def _score_table(
     panels = tiled.stats.tile_row
     per_tile = _compose(table, *_first_masks(panels, assignment))
     scores = _score_modes(
-        partitioner, assignment, per_tile, tiled.stats.uniq_rids, panels,
+        partitioner, assignment, per_tile, capacity, panels,
         tiled.matrix.n_rows, [mode for _, mode in labeled_modes],
     )
     return [
@@ -861,7 +879,8 @@ def _score_splits(
     parts = _cost_table(partitioner, view, view.stats.n_tiles)
     s = tiled.stats
     ext_panels = np.insert(s.tile_row, tile, s.tile_row[tile])
-    ext_uniq = np.insert(s.uniq_rids, tile, s.uniq_rids[tile])
+    ext_capacity = _capacities(partitioner, np.insert(s.uniq_rids, tile, s.uniq_rids[tile]))
+    part_capacity = _capacities(partitioner, view.stats.uniq_rids)
     ext_assignment = np.concatenate(
         [assignment[:tile], [True, False], assignment[tile + 1 :]]
     )
@@ -882,9 +901,11 @@ def _score_splits(
         part_table = {name: col[rows] for name, col in parts.items()}
         for arr, part in zip(per_tile, _compose(part_table, hot_first[pair], cold_first[pair])):
             arr[pair] = part
-        ext_uniq[pair] = view.stats.uniq_rids[rows]
+        for ext, part in zip(ext_capacity, part_capacity):
+            if ext is not None:
+                ext[pair] = part[rows]
         scores = _score_modes(
-            partitioner, ext_assignment, per_tile, ext_uniq, ext_panels,
+            partitioner, ext_assignment, per_tile, ext_capacity, ext_panels,
             tiled.matrix.n_rows, modes,
         )
         # min keeps the first of tied times: parallel unless serial is

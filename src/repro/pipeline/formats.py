@@ -11,6 +11,8 @@ format and traversal order:
 Every format object carries a reference ``spmm`` so tests can verify that
 the hot and cold partial outputs recombine into the exact SpMM result --
 functionally, this is what the Merger module (or the PIUMA atomics) do.
+Each one hands its nonzeros, in storage order (tile-major for the tiled
+formats), to the blocked kernel :func:`repro.sparse.matrix.coo_spmm`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Union
 import numpy as np
 
 from repro.core.traits import SparseFormat, Traversal, WorkerTraits
+from repro.sparse.matrix import coo_spmm
 from repro.sparse.tiling import TiledMatrix
 
 __all__ = ["UntiledCoo", "TiledCoo", "UntiledCsr", "TiledCsr", "build_format", "AnyFormat"]
@@ -46,9 +49,7 @@ class UntiledCoo:
         return 3 * self.nnz
 
     def spmm(self, din: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n_rows, din.shape[1]), dtype=np.result_type(self.vals, din))
-        np.add.at(out, self.rows, self.vals[:, None] * din[self.cols])
-        return out
+        return coo_spmm(self.n_rows, self.rows, self.cols, self.vals, din)
 
 
 @dataclass(frozen=True)
@@ -77,16 +78,7 @@ class TiledCoo:
         return 3 * self.nnz
 
     def spmm(self, din: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n_rows, din.shape[1]), dtype=np.result_type(self.vals, din))
-        # Tile-by-tile accumulation, mirroring the streaming execution.
-        for t in range(self.n_tiles):
-            lo, hi = self.tile_offsets[t], self.tile_offsets[t + 1]
-            np.add.at(
-                out,
-                self.rows[lo:hi],
-                self.vals[lo:hi, None] * din[self.cols[lo:hi]],
-            )
-        return out
+        return coo_spmm(self.n_rows, self.rows, self.cols, self.vals, din)
 
 
 @dataclass(frozen=True)
@@ -110,9 +102,7 @@ class UntiledCsr:
 
     def spmm(self, din: np.ndarray) -> np.ndarray:
         rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr))
-        out = np.zeros((self.n_rows, din.shape[1]), dtype=np.result_type(self.vals, din))
-        np.add.at(out, rows, self.vals[:, None] * din[self.indices])
-        return out
+        return coo_spmm(self.n_rows, rows, self.indices, self.vals, din)
 
 
 @dataclass(frozen=True)
@@ -148,27 +138,18 @@ class TiledCsr:
         return int(self.indptrs.shape[0] - self.n_tiles) + 2 * self.nnz
 
     def spmm(self, din: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n_rows, din.shape[1]), dtype=np.result_type(self.vals, din))
-        for t in range(self.n_tiles):
-            base_row = int(self.tile_row[t]) * self.tile_height
-            ip_lo = self.tile_indptr_offsets[t]
-            height = (
-                self.tile_indptr_offsets[t + 1] - ip_lo - 1
-                if t + 1 < self.n_tiles
-                else self.indptrs.shape[0] - ip_lo - 1
-            )
-            local_indptr = self.indptrs[ip_lo : ip_lo + height + 1]
-            nnz_lo = self.tile_offsets[t]
-            local_rows = np.repeat(
-                np.arange(height, dtype=np.int64), np.diff(local_indptr)
-            )
-            lo, hi = nnz_lo, self.tile_offsets[t + 1]
-            np.add.at(
-                out,
-                base_row + local_rows,
-                self.vals[lo:hi, None] * din[self.indices[lo:hi]],
-            )
-        return out
+        # Slot j of tile t's local indptr is row tile_row[t] * tile_height
+        # + j of the matrix, and holds indptr[j + 1] - indptr[j] nonzeros;
+        # each tile's last slot is a sentinel, so its step into the next
+        # tile's indptr counts none.
+        slots = np.diff(self.tile_indptr_offsets, append=self.indptrs.shape[0])
+        slot_rows = np.arange(self.indptrs.shape[0], dtype=np.int64) + np.repeat(
+            self.tile_row * self.tile_height - self.tile_indptr_offsets, slots
+        )
+        steps = np.diff(self.indptrs)
+        steps[self.tile_indptr_offsets[1:] - 1] = 0
+        rows = np.repeat(slot_rows[:-1], steps)
+        return coo_spmm(self.n_rows, rows, self.indices, self.vals, din)
 
 
 AnyFormat = Union[UntiledCoo, TiledCoo, UntiledCsr, TiledCsr]

@@ -54,6 +54,11 @@ from repro.sparse.tiling import TiledMatrix, TileStats, concat_ranges
 
 __all__ = ["InstancePlan", "build_plans"]
 
+#: Accesses one demand-cache pass (:func:`windowed_lru_misses`) may take:
+#: :func:`_din_bytes` runs one pass per run of whole instances holding at
+#: most this many, so the pass's sort temporaries stay bounded.
+DEMAND_RUN_ACCESSES = 1 << 18
+
 
 @dataclass(eq=False)
 class InstancePlan:
@@ -464,11 +469,13 @@ def _din_bytes(
 
     The demand cache (``NONE`` reuse with a positive cache size) lives
     across an instance's whole run, so it sees the instance-major access
-    sequence: ONE windowed-LRU pass runs over every instance's nonzeros
-    in turn, with column ids keyed by instance.  Each instance's accesses
-    are contiguous, so window gaps inside an instance are those of a
-    separate per-instance pass, and accesses of different instances can
-    never match keys.
+    sequence.  A windowed-LRU pass runs over each run of consecutive
+    whole instances holding at most :data:`DEMAND_RUN_ACCESSES` accesses
+    (an instance above that is a run of its own), with column ids keyed
+    by instance.  Each instance's accesses are contiguous, so window gaps
+    inside an instance are those of a separate per-instance pass, and
+    accesses of different instances can never match keys: the misses are
+    those of one pass over the whole sequence.
     """
     reuse = traits.din_reuse
     sizes = units.sizes
@@ -484,16 +491,19 @@ def _din_bytes(
         )
         if capacity_rows <= 0:
             return sizes.astype(np.float64) * row_bytes
-        run_sizes = sizes[order]
-        seq = units.nnz_idx[concat_ranges(units.start[order], run_sizes)]
         span = np.int64(max(tiled.matrix.n_cols, 1))
-        keys = np.repeat(owner[order], run_sizes) * span + tiled.cols[seq]
-        misses = windowed_lru_misses(keys, capacity_rows)
-        run_starts = np.concatenate(([0], np.cumsum(run_sizes)[:-1]))
+        owners, unit_sizes = owner[order], sizes[order]
         per_unit = np.empty(sizes.shape[0], dtype=np.int64)
-        # Sum the bool misses in int64 explicitly rather than rely on
-        # NumPy's default result type: a bool-typed sum is a logical-or.
-        per_unit[order] = np.add.reduceat(misses, run_starts, dtype=np.int64)
+        for run in _instance_runs(owners, unit_sizes):
+            idx = order[run]
+            run_sizes = unit_sizes[run]
+            seq = units.nnz_idx[concat_ranges(units.start[idx], run_sizes)]
+            keys = np.repeat(owners[run], run_sizes) * span + tiled.cols[seq]
+            misses = windowed_lru_misses(keys, capacity_rows)
+            run_starts = np.concatenate(([0], np.cumsum(run_sizes)[:-1]))
+            # Sum the bool misses in int64 explicitly rather than rely on
+            # NumPy's default result type: a bool-typed sum is a logical-or.
+            per_unit[idx] = np.add.reduceat(misses, run_starts, dtype=np.int64)
         return per_unit.astype(np.float64) * row_bytes
     if reuse is ReuseType.INTER_TILE:
         # No evaluated worker reuses Din across tiles, but support it for
@@ -505,6 +515,27 @@ def _din_bytes(
             per_unit = sizes.astype(np.float64)
         return per_unit * row_bytes
     raise ValueError(f"unknown reuse type {reuse!r}")
+
+
+def _instance_runs(owners: np.ndarray, sizes: np.ndarray) -> List[slice]:
+    """Cut instance-major units into runs of whole instances.
+
+    ``owners`` (non-decreasing) and ``sizes`` are the units' instances
+    and access counts in instance-major order.  Each run holds at most
+    :data:`DEMAND_RUN_ACCESSES` accesses, except a run of one instance
+    above it, which is never split.
+    """
+    ends = np.append(np.flatnonzero(np.diff(owners)) + 1, owners.shape[0]).tolist()
+    acc = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    runs = []
+    lo = prev = 0
+    for hi in ends:
+        if acc[hi] - acc[lo] > DEMAND_RUN_ACCESSES and prev > lo:
+            runs.append(slice(lo, prev))
+            lo = prev
+        prev = hi
+    runs.append(slice(lo, prev))
+    return runs
 
 
 def _dout_bytes(

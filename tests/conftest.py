@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,3 +92,26 @@ def pcie_arch():
 @pytest.fixture()
 def tiled_rmat(small_rmat, spade_sextans_arch) -> TiledMatrix:
     return TiledMatrix(small_rmat, spade_sextans_arch.tile_height, spade_sextans_arch.tile_width)
+
+
+@pytest.fixture()
+def traced_peak():
+    """``measure(fn) -> (fn(), peak)``: the most bytes ``tracemalloc``
+    saw allocated at once while ``fn`` ran, above what was live before
+    (NumPy reports its array buffers to ``tracemalloc``)."""
+
+    def measure(fn):
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        return result, peak
+
+    return measure

@@ -1,6 +1,8 @@
 """Frozen pre-refactor partitioner: the oracle for ``repro.core.partition``.
 
-Kept verbatim (only this docstring is new) so
+Kept verbatim (only this docstring is new, and its two
+``contention.group_floors`` calls pass ``unit_capacities(arch,
+uniq_rids)`` where they passed ``uniq_rids``) so
 ``test_partition_differential.py`` can require the one-search
 partitioner -- ``partition``, ``repair_plan`` and ``exhaustive_partition``
 over one per-tile cost table -- to return exactly what this version
@@ -351,7 +353,8 @@ class HotTilesPartitioner:
             return naive_s, naive_s, totals
         hot_floor, cold_floor = contention.group_floors(
             self.arch, hot_times, cold_times,
-            tiled.stats.uniq_rids, tiled.stats.tile_row, assignment,
+            contention.unit_capacities(self.arch, tiled.stats.uniq_rids),
+            tiled.stats.tile_row, assignment,
         )
         time_s = contention.contended_runtime(
             self.arch, totals, mode is ExecutionMode.SERIAL,
@@ -847,7 +850,8 @@ def _evaluate_totals(
     if not partitioner._contended():
         return naive_s, naive_s
     hot_floor, cold_floor = contention.group_floors(
-        arch, hot_times, cold_times, uniq_rids, panels, assignment
+        arch, hot_times, cold_times, contention.unit_capacities(arch, uniq_rids),
+        panels, assignment,
     )
     time_s = contention.contended_runtime(
         arch, totals, serial, hot_floor=hot_floor, cold_floor=cold_floor

@@ -120,13 +120,11 @@ class TestEvaluatorProperties:
 
     def test_floor_zero_for_single_instance(self):
         times = np.array([1e-4, 2e-4])
-        uniq = np.array([100.0, 50.0])
         panels = np.array([0, 1])
         selected = np.array([True, True])
         traits = piuma().cold.traits
         floor = contention.granularity_floor(
-            times, uniq, panels, selected,
-            traits=traits, n_instances=1, tile_height=piuma().tile_height,
+            times, None, panels, selected, traits=traits, n_instances=1,
         )
         assert floor == 0.0
 
@@ -157,9 +155,8 @@ class TestPanelFloor:
         arch = piuma()
         assert arch.hot.traits.panel_affine and arch.hot.count > 1
         floor = contention.granularity_floor(
-            times, np.ones(n), panels, selected,
+            times, None, panels, selected,
             traits=arch.hot.traits, n_instances=arch.hot.count,
-            tile_height=arch.tile_height,
         )
         assert floor == _argsort_panel_floor(times, panels, selected)
 
@@ -191,6 +188,32 @@ class TestPartitionerWiring:
         assert result.chosen.naive_time_s is not None
         # Contention can only add terms under a max: never below naive.
         assert result.chosen.predicted_time_s >= result.chosen.naive_time_s
+
+    def test_unit_capacities_computed_once_per_cost_table(self, monkeypatch, small_rmat):
+        """The whole-tile candidates share one capacity array, and the
+        split probes one more over the expanded tiling plus one over their
+        parts' rows; only the untiled cold group reads capacities."""
+        arch = spade_sextans_pcie(4)
+        assert arch.hot.traits.panel_affine and not arch.cold.traits.panel_affine
+        tiled = TiledMatrix(small_rmat, arch.tile_height, arch.tile_width)
+        capacity_calls, floor_calls = [], []
+        unit_capacity, group_floors = contention._unit_capacity, contention.group_floors
+
+        def count_capacity(uniq_rids, *args):
+            capacity_calls.append(uniq_rids.shape[0])
+            return unit_capacity(uniq_rids, *args)
+
+        def count_floors(*args):
+            floor_calls.append(args[4].shape[0])
+            return group_floors(*args)
+
+        monkeypatch.setattr(contention, "_unit_capacity", count_capacity)
+        monkeypatch.setattr(contention, "group_floors", count_floors)
+        result = HotTilesPartitioner(arch).partition(tiled)
+        n_probed = floor_calls.count(tiled.n_tiles + 1)
+        assert n_probed > 0 and len(floor_calls) == 3 + n_probed
+        assert capacity_calls == [tiled.n_tiles, tiled.n_tiles + 1, 2 * n_probed]
+        assert result.chosen.scorer == "contention"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_block_split_never_loses_under_contention(self, seed, small_rmat,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pipeline.formats import TiledCoo, TiledCsr, UntiledCoo, UntiledCsr, build_format
-from repro.sparse import generators
+from repro.sparse import generators, matrix as matrix_module
 from repro.sparse.tiling import TiledMatrix
 from repro.workers import piuma_mtp, piuma_stp, sextans, spade_pe
 
@@ -62,6 +62,59 @@ class TestSpmmEquivalence:
         fmt = build_format(tiled, np.zeros(tiled.n_tiles, dtype=bool), spade_pe())
         assert fmt.nnz == 0
         assert np.array_equal(fmt.spmm(din), np.zeros((tiled.matrix.n_rows, 8)))
+
+    @pytest.mark.parametrize("name", WORKERS)
+    @pytest.mark.parametrize("subset", ["all", "some", "none"])
+    @pytest.mark.parametrize("k", [1, 4, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_spmm_in_blocks_equals_one_shot(
+        self, monkeypatch, tiled, name, subset, k, dtype
+    ):
+        """Blocks of 37 nonzeros, cut inside rows and inside tiles, give
+        exactly one ``np.add.at`` over the format's nonzeros in storage
+        order: the per-tile loops of earlier versions, for tiled formats."""
+        mask = {
+            "all": np.ones(tiled.n_tiles, dtype=bool),
+            "some": np.random.default_rng(9).random(tiled.n_tiles) < 0.4,
+            "none": np.zeros(tiled.n_tiles, dtype=bool),
+        }[subset]
+        fmt = build_format(tiled, mask, WORKERS[name][0])
+        din = np.random.default_rng(k).standard_normal((tiled.matrix.n_cols, k)).astype(dtype)
+        itemsize = np.result_type(fmt.vals, din).itemsize
+        step = 37
+        monkeypatch.setattr(matrix_module, "SPMM_BLOCK_BYTES", step * k * itemsize)
+        rows = _storage_rows(fmt)
+        if subset != "none":
+            cuts = np.arange(step, fmt.nnz, step)
+            assert cuts.size >= 10
+            assert (rows[cuts - 1] == rows[cuts]).any()
+            tile_offsets = getattr(fmt, "tile_offsets", None)
+            if tile_offsets is not None:
+                assert np.setdiff1d(cuts, tile_offsets).size > 0
+        out = np.zeros((fmt.n_rows, k), dtype=np.result_type(fmt.vals, din))
+        np.add.at(out, rows, fmt.vals[:, None] * din[_storage_cols(fmt)])
+        assert np.array_equal(fmt.spmm(din), out)
+
+
+def _storage_rows(fmt) -> np.ndarray:
+    """Each nonzero's matrix row, in storage order, read as the per-tile
+    loops of earlier versions read it (tiled CSR: tile by tile)."""
+    if isinstance(fmt, (UntiledCoo, TiledCoo)):
+        return fmt.rows
+    if isinstance(fmt, UntiledCsr):
+        return np.repeat(np.arange(fmt.n_rows), np.diff(fmt.indptr))
+    pieces = [np.zeros(0, dtype=np.int64)]
+    for t in range(fmt.n_tiles):
+        lo = fmt.tile_indptr_offsets[t]
+        hi = fmt.tile_indptr_offsets[t + 1] if t + 1 < fmt.n_tiles else fmt.indptrs.shape[0]
+        counts = np.diff(fmt.indptrs[lo:hi])
+        base = int(fmt.tile_row[t]) * fmt.tile_height
+        pieces.append(base + np.repeat(np.arange(counts.shape[0]), counts))
+    return np.concatenate(pieces)
+
+
+def _storage_cols(fmt) -> np.ndarray:
+    return fmt.cols if isinstance(fmt, (UntiledCoo, TiledCoo)) else fmt.indices
 
 
 class TestDataItems:

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.arch.heterogeneous import Architecture, WorkerGroup
+from repro.core.traits import ReuseType, WorkerKind
+from repro.sim import worker_sim
+from repro.sim.cache import windowed_lru_misses
+from repro.sim.engine import simulate_homogeneous
 from repro.sim.worker_sim import build_plans
+from repro.sparse import generators
 from repro.sparse.matrix import SparseMatrix
-from repro.sparse.tiling import TiledMatrix
+from repro.sparse.tiling import TiledMatrix, concat_ranges
 from tests.core.test_model import PROBLEM, cold_worker, hot_worker
 from tests.core.test_partition import tiny_arch
 
@@ -179,3 +184,80 @@ class TestActualBytes:
         )
         plan = cold_plans[0]
         assert plan.flops_total == pytest.approx(plan.nnz_total * PROBLEM.flops_per_nnz)
+
+
+def _one_pass_din_bytes(tiled, traits, units, owner, order, row_bytes):
+    """Earlier versions' demand-cache *Din* bytes: one windowed-LRU pass
+    over every instance's accesses, instance-major."""
+    sizes = units.sizes
+    run_sizes = sizes[order]
+    seq = units.nnz_idx[concat_ranges(units.start[order], run_sizes)]
+    span = np.int64(max(tiled.matrix.n_cols, 1))
+    keys = np.repeat(owner[order], run_sizes) * span + tiled.cols[seq]
+    misses = windowed_lru_misses(keys, int(traits.cache_bytes // row_bytes))
+    run_starts = np.concatenate(([0], np.cumsum(run_sizes)[:-1]))
+    per_unit = np.empty(sizes.shape[0], dtype=np.int64)
+    per_unit[order] = np.add.reduceat(misses, run_starts, dtype=np.int64)
+    return per_unit.astype(np.float64) * row_bytes
+
+
+class TestDemandCacheRuns:
+    """The demand cache's windowed-LRU pass runs once per run of whole
+    instances; keys of different instances never match, so the bytes are
+    those of one pass over the whole instance-major sequence."""
+
+    @pytest.mark.parametrize("arch_name", ["spade_sextans_arch", "piuma_arch"])
+    @pytest.mark.parametrize("budget", ["one-run", "several-runs", "instance-above"])
+    def test_runs_equal_one_pass(self, request, monkeypatch, small_rmat, arch_name, budget):
+        arch = request.getfixturevalue(arch_name)
+        traits, count = arch.cold.traits, arch.cold.count
+        assert traits.din_reuse is ReuseType.NONE and traits.cache_bytes > 0
+        tiled = TiledMatrix(small_rmat, arch.tile_height, arch.tile_width)
+        units = worker_sim._work_units(tiled, np.ones(tiled.n_tiles, dtype=bool), traits)
+        owner = worker_sim._balance(units.sizes, count)
+        order = np.argsort(owner, kind="stable")
+        row_bytes = float(arch.problem.dense_row_bytes)
+        load = np.bincount(owner, weights=units.sizes, minlength=count).astype(np.int64)
+        assert load.min() > 0 and load.max() > load.min()
+        limit = {
+            "one-run": worker_sim.DEMAND_RUN_ACCESSES,
+            "several-runs": int(load.max()),
+            "instance-above": int(load.max()) - 1,
+        }[budget]
+        monkeypatch.setattr(worker_sim, "DEMAND_RUN_ACCESSES", limit)
+        passes = []
+
+        def recording(keys, capacity_rows):
+            passes.append(keys // max(tiled.matrix.n_cols, 1))
+            return windowed_lru_misses(keys, capacity_rows)
+
+        monkeypatch.setattr(worker_sim, "windowed_lru_misses", recording)
+        got = worker_sim._din_bytes(tiled, traits, units, owner, order, row_bytes)
+        want = _one_pass_din_bytes(tiled, traits, units, owner, order, row_bytes)
+        assert np.array_equal(got, want)
+
+        # Every pass takes whole instances, in instance order, and stays
+        # within the budget unless it holds a single instance.
+        owners = [np.unique(p) for p in passes]
+        assert np.array_equal(np.concatenate(owners), np.arange(count))
+        for p, held in zip(passes, owners):
+            assert p.shape[0] == load[held].sum()
+            assert p.shape[0] <= limit or held.size == 1
+        if budget == "one-run":
+            assert load.sum() <= limit and len(passes) == 1
+        else:
+            assert len(passes) > 1
+        if budget == "instance-above":
+            assert any(p.shape[0] > limit for p in passes)
+
+    def test_cold_only_simulation_peak(self, spade_sextans_arch, traced_peak):
+        """ColdOnly on mycielskian(12) (407,200 nonzeros): one pass over
+        every access peaked at 20.8 MB traced, about 51 B per nonzero;
+        runs of at most 2**18 accesses keep it near 32 B."""
+        m = generators.mycielskian(12)
+        arch = spade_sextans_arch
+        tiled = TiledMatrix(m, arch.tile_height, arch.tile_width)
+        want = simulate_homogeneous(arch, tiled, WorkerKind.COLD)  # warms tiling caches
+        got, peak = traced_peak(lambda: simulate_homogeneous(arch, tiled, WorkerKind.COLD))
+        assert got.time_s == want.time_s
+        assert peak < 40 * m.nnz

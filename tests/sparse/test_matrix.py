@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sparse.matrix import SparseMatrix
+from repro.sparse import generators, matrix as matrix_module
+from repro.sparse.matrix import SPMM_BLOCK_BYTES, SparseMatrix
 
 
 class TestConstruction:
@@ -198,6 +199,43 @@ class TestKernels:
         m = SparseMatrix.identity(6)
         din = np.random.default_rng(2).standard_normal((6, 3)).astype(np.float32)
         np.testing.assert_allclose(m.spmm(din), din, rtol=1e-6)
+
+    @pytest.mark.parametrize("k", [1, 4, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_spmm_in_blocks_equals_one_shot(self, monkeypatch, small_rmat, k, dtype):
+        """Blocks of 37 nonzeros -- 217 blocks, cut inside rows -- give
+        exactly the one whole-array ``np.add.at`` of earlier versions."""
+        din = np.random.default_rng(k).standard_normal((small_rmat.n_cols, k)).astype(dtype)
+        itemsize = np.result_type(small_rmat.vals, din).itemsize
+        step = 37
+        monkeypatch.setattr(matrix_module, "SPMM_BLOCK_BYTES", step * k * itemsize)
+        cuts = np.arange(step, small_rmat.nnz, step)
+        assert cuts.size > 100
+        assert (small_rmat.rows[cuts - 1] == small_rmat.rows[cuts]).sum() > 10
+        assert np.array_equal(small_rmat.spmm(din), _one_shot_spmm(small_rmat, din))
+
+    def test_spmm_of_empty_matrix_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(matrix_module, "SPMM_BLOCK_BYTES", 1)
+        out = SparseMatrix.empty(5, 3).spmm(np.ones((3, 4)))
+        assert np.array_equal(out, np.zeros((5, 4)))
+
+    def test_spmm_peak_memory_is_two_blocks(self, traced_peak):
+        """mycielskian(12) at K = 32 float32 gathers 52 MB of Din rows and
+        52 MB of products in one shot (105 MB traced at the peak); in
+        blocks the peak is the output plus the two per-block budgets."""
+        m = generators.mycielskian(12)
+        assert m.nnz >= 300_000
+        din = np.random.default_rng(0).standard_normal((m.n_cols, 32)).astype(np.float32)
+        out, peak = traced_peak(lambda: m.spmm(din))
+        assert peak < 1.1 * (out.nbytes + 2 * SPMM_BLOCK_BYTES)
+        assert np.array_equal(out, _one_shot_spmm(m, din))
+
+
+def _one_shot_spmm(m: SparseMatrix, din: np.ndarray) -> np.ndarray:
+    """The unblocked SpMM: one ``np.add.at`` over every nonzero."""
+    out = np.zeros((m.n_rows, din.shape[1]), dtype=np.result_type(m.vals, din))
+    np.add.at(out, m.rows, m.vals[:, None] * din[m.cols])
+    return out
 
 
 class TestEquality:
