@@ -210,8 +210,12 @@ def _run_fluid(
     When ``tracer`` is an enabled :class:`~repro.obs.tracer.Tracer`, the
     run is narrated onto virtual-time tracks (one per instance, named by
     ``labels``, timestamps shifted by ``t_offset``): one span per chunk a
-    worker executes, one ``rebalance`` event per fluid interval, and a
-    ``bandwidth`` counter track sampling the aggregate grant.  Tracing
+    worker executes, and on the ``memory`` track a ``rebalance`` event
+    plus a ``bandwidth`` counter sample at the start of the first fluid
+    interval and of every interval whose aggregate grant differs from the
+    last one written in this run, then a closing zero sample.  A counter
+    track is a step function, so these change points draw the same series
+    as a sample per interval (which ``bandwidth_profile`` holds).  Tracing
     observes the existing state only -- it never feeds back into the
     arithmetic, which the differential tests pin down bit for bit."""
     n = len(plans)
@@ -297,6 +301,7 @@ def _run_fluid(
     rates: List[float] = []
     rates_sum = 0.0
     alloc_key = -1  # forces an initial allocation
+    traced_grant = None  # the aggregate grant last written to the trace
     # Each iteration retires at least one sub-completion; bounded by the
     # total number of phases times two.
     max_iters = 4 * sum(len(pl) for pl in phase_lists) + 4 * n + 16
@@ -308,7 +313,8 @@ def _run_fluid(
             rates_arr, rates_sum = allocator.rates_for_key(demand_key)
             rates = rates_arr.tolist()
             alloc_key = demand_key
-        if tracer is not None:
+        if tracer is not None and rates_sum != traced_grant:
+            traced_grant = rates_sum
             tracer.event(
                 "rebalance",
                 ts=t + t_offset,

@@ -85,15 +85,20 @@ class InstancePlan:
 class _Units(NamedTuple):
     """One worker group's schedulable units, as flat arrays in unit order.
 
-    Unit ``u`` runs the nonzeros ``nnz_idx[start[u]:end[u]]`` (indices
-    into the tile-permuted arrays) of panel ``panel[u]`` and spans
-    ``height[u]`` rows.  Panel-affine units also cover a run of tiles:
-    ``tiles`` from ``tile_start[u]`` up to the next unit's start (the
-    segments ``np.ufunc.reduceat`` takes); row-block units have no tiles
-    (``None``).
+    Unit ``u`` runs the nonzeros ``nnz_idx[start[u]:end[u]]`` of panel
+    ``panel[u]`` and spans ``height[u]`` rows; ``nnz_idx`` holds positions
+    in ``rows`` and ``cols``.  Row-block units read the matrix's canonical
+    (row-major) arrays; panel-affine units read the tile-permuted ones, and
+    build ``nnz_idx`` only when a cost reads single nonzeros
+    (:func:`_reads_nonzeros`; ``None`` otherwise).  Panel-affine units also
+    cover a run of tiles: ``tiles`` from ``tile_start[u]`` up to the next
+    unit's start (the segments ``np.ufunc.reduceat`` takes); row-block
+    units have no tiles (``None``).
     """
 
-    nnz_idx: np.ndarray
+    nnz_idx: Optional[np.ndarray]
+    rows: np.ndarray
+    cols: np.ndarray
     start: np.ndarray
     end: np.ndarray
     panel: np.ndarray
@@ -162,8 +167,7 @@ class _SplitTiling:
 
     __slots__ = (
         "rows", "cols", "perm", "matrix", "tile_height", "tile_width",
-        "n_panel_cols", "n_tiles", "tile_offsets", "stats",
-        "tile_eff_heights", "_base",
+        "n_panel_cols", "n_tiles", "tile_offsets", "stats", "tile_eff_heights",
     )
 
     def __init__(self, tiled: TiledMatrix, split: TileSplit) -> None:
@@ -171,7 +175,6 @@ class _SplitTiling:
         lo = int(tiled.tile_offsets[j])
         hi = int(tiled.tile_offsets[j + 1])
         cut = lo + split.hot_nnz
-        self._base = tiled
         self.rows = tiled.rows
         self.cols = tiled.cols
         self.perm = tiled.perm
@@ -207,9 +210,6 @@ class _SplitTiling:
             effective_tile_heights(tiled),
             [split.row_cut - panel_start, panel_start + eff - split.row_cut],
         )
-
-    def inverse_perm(self) -> np.ndarray:
-        return self._base.inverse_perm()
 
 
 def _apply_split(
@@ -250,9 +250,10 @@ def _work_units(
 ) -> Optional[_Units]:
     """Cut this worker type's tiles into schedulable units (``None``: no tiles).
 
-    All chosen tiles' nonzero indices are gathered with one
-    :func:`concat_ranges` call or one boolean scatter, and unit boundaries
-    come from where the panel or row block changes.
+    Panel-affine units gather their tiles' nonzero indices with one
+    :func:`concat_ranges` call, when a cost reads them; row-block units
+    select theirs with one boolean scatter.  Unit boundaries come from
+    where the panel or row block changes.
     """
     if not mask.any():
         return None
@@ -268,7 +269,11 @@ def _work_units(
         tile_start = np.flatnonzero(np.concatenate(([True], panels[1:] != panels[:-1])))
         heights = effective_tile_heights(tiled)[chosen]
         return _Units(
-            nnz_idx=concat_ranges(offsets[chosen], lengths),
+            nnz_idx=(
+                concat_ranges(offsets[chosen], lengths) if _reads_nonzeros(traits) else None
+            ),
+            rows=tiled.rows,
+            cols=tiled.cols,
             start=seg_ends[tile_start] - lengths[tile_start],
             end=seg_ends[np.append(tile_start[1:], chosen.size) - 1],
             panel=panels[tile_start],
@@ -277,36 +282,49 @@ def _work_units(
             tile_start=tile_start,
         )
 
-    # Other workers: row-block units (the paper's contiguous-row chunks).
-    # Gather the masked nonzeros, order row-major, and split by row block.
+    # Other workers: row-block units (the paper's contiguous-row chunks),
+    # cut from the chosen nonzeros in the matrix's canonical row-major
+    # order.  Scattering the per-nonzero tile mask back through ``perm``
+    # selects them in that order without a sort (as ``build_format`` does).
     rows_per_block = block_rows(tiled.tile_height)
-    tile_ids = np.flatnonzero(mask)
-    # Order the chosen nonzeros row-major.  Canonical SparseMatrix storage
-    # is already (row, col)-sorted with unique coordinates, so sorting by
-    # original position gives the same order -- a boolean scatter plus
-    # flatnonzero instead of an argsort.
-    if tile_ids.size == tiled.n_tiles:
-        nnz_idx = tiled.inverse_perm()
+    matrix = tiled.matrix
+    if mask.all():
+        nnz_idx = np.arange(matrix.nnz, dtype=np.int64)
     else:
-        sel_perm = concat_ranges(
-            offsets[tile_ids], offsets[tile_ids + 1] - offsets[tile_ids]
-        )
-        sel = np.zeros(tiled.rows.shape[0], dtype=bool)
-        sel[tiled.perm[sel_perm]] = True
-        nnz_idx = tiled.inverse_perm()[np.flatnonzero(sel)]
-    blocks = tiled.rows[nnz_idx] // rows_per_block
+        sel = np.empty(matrix.nnz, dtype=bool)
+        sel[tiled.perm] = np.repeat(mask, np.diff(offsets))
+        nnz_idx = np.flatnonzero(sel)
+    blocks = matrix.rows[nnz_idx] // rows_per_block
     boundaries = np.flatnonzero(np.diff(blocks)) + 1
     start = np.concatenate(([0], boundaries))
     first_rows = blocks[start] * rows_per_block
     return _Units(
         nnz_idx=nnz_idx,
+        rows=matrix.rows,
+        cols=matrix.cols,
         start=start,
         end=np.append(boundaries, nnz_idx.shape[0]),
         panel=first_rows // tiled.tile_height,
-        height=np.minimum(rows_per_block, tiled.matrix.n_rows - first_rows),
+        height=np.minimum(rows_per_block, matrix.n_rows - first_rows),
         tiles=None,
         tile_start=None,
     )
+
+
+def _reads_nonzeros(traits: WorkerTraits) -> bool:
+    """Whether a panel-affine group's costs read its nonzeros one by one.
+
+    Two do: a *Din* demand cache (:func:`_din_bytes`) and distinct *Dout*
+    rows across a panel's tiles (:func:`_dout_bytes`).  Every other cost
+    of a panel-affine unit comes from per-tile statistics, so Sextans and
+    the PIUMA STP never gather their nonzeros.
+    """
+    demand_din = traits.din_reuse is ReuseType.NONE and traits.cache_bytes > 0
+    demand_dout = (
+        traits.dout_reuse is ReuseType.INTER_TILE
+        and traits.effective_first_reuse("dout") is not ReuseType.INTRA_TILE_STREAM
+    )
+    return demand_din or demand_dout
 
 
 def _balance(sizes: np.ndarray, n_instances: int) -> np.ndarray:
@@ -413,13 +431,13 @@ def _plan_group(
 def _distinct_rows(tiled: TiledMatrix, units: _Units) -> np.ndarray:
     """Distinct matrix rows touched by each unit.
 
-    Equivalent to ``np.unique(tiled.rows[nnz_idx[start:end]]).size`` per
+    Equivalent to ``np.unique(units.rows[nnz_idx[start:end]]).size`` per
     unit.  Row-block units keep their nonzeros row-major, so distinct rows
     are a boundary count with no sort at all; panel-affine units (rows
     repeat across a panel's tiles) take one keyed unique over
     ``(unit, row)`` pairs instead of one ``np.unique`` per unit.
     """
-    rows = tiled.rows[units.nnz_idx]
+    rows = units.rows[units.nnz_idx]
     if units.tiles is None:
         new_row = np.empty(rows.shape[0], dtype=bool)
         new_row[0] = True
@@ -498,7 +516,7 @@ def _din_bytes(
             idx = order[run]
             run_sizes = unit_sizes[run]
             seq = units.nnz_idx[concat_ranges(units.start[idx], run_sizes)]
-            keys = np.repeat(owners[run], run_sizes) * span + tiled.cols[seq]
+            keys = np.repeat(owners[run], run_sizes) * span + units.cols[seq]
             misses = windowed_lru_misses(keys, capacity_rows)
             run_starts = np.concatenate(([0], np.cumsum(run_sizes)[:-1]))
             # Sum the bool misses in int64 explicitly rather than rely on

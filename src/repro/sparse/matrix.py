@@ -400,22 +400,43 @@ def coo_spmm(
 def _canonicalize(
     n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort nonzeros row-major and sum duplicate coordinates."""
-    if rows.size == 0:
+    """Sort nonzeros row-major and sum duplicate coordinates.
+
+    The order is the stable one: duplicate cells are summed in input
+    order.  Input whose row-major keys already strictly increase (every
+    generator's output) is copied without sorting.  Otherwise one sort of
+    unique packed ``(key << b) | position`` int64s gives the stable order
+    (as :class:`~repro.sparse.tiling.TiledMatrix` sorts its tile keys);
+    shapes too large for key and position to share 63 bits, checked in
+    Python ints first, fall back to a stable argsort.
+    """
+    n = rows.shape[0]
+    if n == 0:
         return rows.copy(), cols.copy(), vals.copy()
     keys = rows * np.int64(n_cols) + cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.greater(keys[1:], keys[:-1], out=head[1:])
+    if head.all():
+        return rows.copy(), cols.copy(), vals.copy()
+    pos_bits = (n - 1).bit_length()
+    if (int(n_rows) * int(n_cols)) << pos_bits <= 2**63:
+        keys <<= pos_bits
+        keys |= np.arange(n, dtype=np.int64)
+        keys.sort()
+        order = keys & ((1 << pos_bits) - 1)
+        keys >>= pos_bits
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
     vals = vals[order]
-    unique_mask = np.empty(keys.shape[0], dtype=bool)
-    unique_mask[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=unique_mask[1:])
-    if unique_mask.all():
-        return rows[order], cols[order], vals.copy()
-    group_ids = np.cumsum(unique_mask) - 1
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    if head.all():
+        return rows[order], cols[order], vals
+    group_ids = np.cumsum(head) - 1
     summed = np.zeros(int(group_ids[-1]) + 1, dtype=vals.dtype)
     np.add.at(summed, group_ids, vals)
-    keys = keys[unique_mask]
+    keys = keys[head]
     return keys // n_cols, keys % n_cols, summed
 
 

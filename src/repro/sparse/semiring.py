@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.sparse.matrix import SparseMatrix
+from repro.sparse.matrix import SPMM_BLOCK_BYTES, SparseMatrix
 
 __all__ = [
     "Semiring",
@@ -74,7 +74,12 @@ def gspmm(
     Same access pattern as :meth:`SparseMatrix.spmm` -- every nonzero
     reads one *Din* row and accumulates into one *Dout* row -- with the
     semiring's monoids substituted.  Rows with no nonzeros hold the
-    additive identity.
+    additive identity.  Like the plus-times kernel, the other semirings
+    run in blocks: whole rows at a time, as many as keep a block's
+    gathered *Din* rows and products each within
+    :data:`~repro.sparse.matrix.SPMM_BLOCK_BYTES` (a row above that is a
+    block of its own).  Each row is reduced whole, so the result does not
+    depend on the blocks.
     """
     din = np.asarray(din)
     if din.ndim != 2 or din.shape[0] != matrix.n_cols:
@@ -82,21 +87,36 @@ def gspmm(
     if semiring is PLUS_TIMES:
         # Fast path, identical to the reference SpMM.
         return matrix.spmm(din)
-    dtype = np.result_type(matrix.vals, din) if semiring is not OR_AND else bool
+    dtype = np.result_type(matrix.vals, din) if semiring is not OR_AND else np.dtype(bool)
     out = np.full((matrix.n_rows, din.shape[1]), semiring.additive_identity, dtype=dtype)
-    products = semiring.multiply(
-        matrix.vals[:, None].astype(dtype, copy=False),
-        din[matrix.cols].astype(dtype, copy=False),
-    )
     # Per-row reduction with the additive monoid; nonzeros are row-sorted,
     # so reduceat over row boundaries applies the monoid exactly once per
     # output element.
     indptr = matrix.indptr()
     present = np.flatnonzero(np.diff(indptr) > 0)
-    if present.size:
-        ufunc = _as_ufunc(semiring.add)
-        reduced = ufunc.reduceat(products, indptr[present], axis=0)
-        out[present] = reduced
+    if not present.size:
+        return out
+    ufunc = _as_ufunc(semiring.add)
+    starts = indptr[present]
+    ends = indptr[present + 1]
+    row_bytes = max(din.shape[1], 1) * max(din.itemsize, dtype.itemsize)
+    step = max(SPMM_BLOCK_BYTES // row_bytes, 1)
+    first = 0  # the block's first non-empty row, an index into ``present``
+    while first < present.size:
+        lo = int(starts[first])
+        last = max(int(np.searchsorted(ends, lo + step, side="right")), first + 1)
+        hi = int(ends[last - 1])
+        # One expression, so a block's products are freed before the next
+        # block gathers.
+        out[present[first:last]] = ufunc.reduceat(
+            semiring.multiply(
+                matrix.vals[lo:hi, None].astype(dtype, copy=False),
+                din[matrix.cols[lo:hi]].astype(dtype, copy=False),
+            ),
+            starts[first:last] - lo,
+            axis=0,
+        )
+        first = last
     return out
 
 

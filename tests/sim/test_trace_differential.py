@@ -80,14 +80,23 @@ def test_traced_run_narrates_chunks_and_bandwidth(small_rmat, spade_sextans_arch
         s.args["bytes"] for s in sim_spans if s.name.startswith("chunk")
     )
     assert chunk_bytes == pytest.approx(result.bytes_total)
-    # Bandwidth counter samples exist and end at zero.
-    counters = [c for c in tracer.counters() if c.name == "bandwidth"]
-    assert counters and counters[-1].value == 0.0
-    # One rebalance event per fluid-engine interval (plus none spurious).
+    # One rebalance event and one bandwidth sample per change of the
+    # granted rate along the fluid intervals (the merge entry excluded),
+    # at the start of the interval that changes it, then a closing zero.
+    fluid = result.bandwidth_profile[
+        : len(result.bandwidth_profile) - (1 if result.merge_time_s > 0 else 0)
+    ]
+    starts = [0.0] + [end for end, _ in fluid[:-1]]
+    changes = [
+        (start, rate)
+        for i, (start, (_, rate)) in enumerate(zip(starts, fluid))
+        if i == 0 or rate != fluid[i - 1][1]
+    ]
+    assert 1 < len(changes) < len(fluid)
     rebalances = [e for e in tracer.events() if e.name == "rebalance"]
-    assert len(rebalances) == len(result.bandwidth_profile) - (
-        1 if result.merge_time_s > 0 else 0
-    )
+    assert [(e.ts, e.args["granted_bytes_per_s"]) for e in rebalances] == changes
+    counters = [c for c in tracer.counters() if c.name == "bandwidth"]
+    assert [(c.ts, c.value) for c in counters] == changes + [(fluid[-1][0], 0.0)]
 
 
 def _chunks_with_work(plan):

@@ -53,7 +53,7 @@ class TestScheduling:
         owner = _balance(units.sizes, 4)
         row_owner = {}
         for i, lo, hi in zip(owner.tolist(), units.start.tolist(), units.end.tolist()):
-            for row in np.unique(tiled.rows[units.nnz_idx[lo:hi]]).tolist():
+            for row in np.unique(units.rows[units.nnz_idx[lo:hi]]).tolist():
                 assert row_owner.setdefault(row, i) == i
 
     def test_row_blocks_improve_balance_over_panels(self):
@@ -193,7 +193,7 @@ def _one_pass_din_bytes(tiled, traits, units, owner, order, row_bytes):
     run_sizes = sizes[order]
     seq = units.nnz_idx[concat_ranges(units.start[order], run_sizes)]
     span = np.int64(max(tiled.matrix.n_cols, 1))
-    keys = np.repeat(owner[order], run_sizes) * span + tiled.cols[seq]
+    keys = np.repeat(owner[order], run_sizes) * span + units.cols[seq]
     misses = windowed_lru_misses(keys, int(traits.cache_bytes // row_bytes))
     run_starts = np.concatenate(([0], np.cumsum(run_sizes)[:-1]))
     per_unit = np.empty(sizes.shape[0], dtype=np.int64)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.sparse import generators
 from repro.sparse.generators import _quadrant
 from tests.sparse import reference_generators as reference
+from tests.sparse import reference_matrix
 
 
 def outcome(module, name, kwargs):
@@ -186,3 +187,118 @@ class TestQuadrantBoundaries:
         u = np.array([0.9999999999999999])
         assert np.searchsorted(cum, u, side="right")[0] == 4
         assert _quadrant(cum, u)[0] == 4
+
+
+# ----------------------------------------------------------------------
+# Against the frozen argsort sampler (``reference_matrix.py``), whose cell
+# keys do not wrap, so it judges shapes past 2**21 rows as well.
+# ----------------------------------------------------------------------
+def assert_same_matrix(got, want):
+    assert got.shape == want.shape
+    for field in ("rows", "cols", "vals"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert got.content_digest() == want.content_digest()
+
+
+def _last_edge(a, b, c):
+    return float(np.cumsum([a, b, c, 1.0 - a - b - c])[-1])
+
+
+@pytest.mark.parametrize(
+    "kwargs,last_edge",
+    [
+        # The default probabilities: the last edge is exactly 1.0, which no
+        # draw from [0, 1) reaches, so the draw skips it.
+        (dict(scale=10, nnz=8_000, seed=11), "one"),
+        (dict(scale=7, nnz=4_000, a=0.45, b=0.15, c=0.15, seed=12, symmetrize=True), "one"),
+        # Rounding leaves the last edge below 1.0: quadrant 4 carries.
+        (dict(scale=8, nnz=3_000, a=0.01, b=0.33, c=0.37, seed=13), "below"),
+        (dict(scale=7, nnz=1_500, a=0.01, b=0.33, c=0.37, seed=14, dtype=np.float64), "below"),
+        # A zero probability: two equal edges.
+        (dict(scale=9, nnz=6_000, a=0.6, b=0.0, c=0.25, seed=15), "one"),
+        (dict(scale=9, nnz=6_000, a=0.6, b=0.2, c=0.0, seed=16), "one"),
+        (dict(scale=5, nnz=20, a=0.5, b=0.0, c=0.5, seed=17), "one"),  # column 0 only
+    ],
+)
+def test_rmat_edge_cases_match_both_oracles(kwargs, last_edge):
+    a, b, c = (kwargs.get(p, d) for p, d in (("a", 0.57), ("b", 0.19), ("c", 0.19)))
+    edge = _last_edge(a, b, c)
+    assert (edge == 1.0) if last_edge == "one" else (edge < 1.0)
+    assert_same_matrix(generators.rmat(**kwargs), reference_matrix.rmat(**kwargs))
+    assert_identical("rmat", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # int32 accumulators end at scale 29, int64 ones start at 30.
+        dict(scale=29, nnz=3_000, seed=21),
+        dict(scale=29, nnz=2_000, a=0.01, b=0.33, c=0.37, seed=22, dtype=np.float64),
+        dict(scale=30, nnz=3_000, seed=23),
+        dict(scale=30, nnz=2_000, a=0.01, b=0.33, c=0.37, seed=24, symmetrize=True),
+    ],
+)
+def test_rmat_at_the_accumulator_bound_matches_frozen(kwargs):
+    got = generators.rmat(**kwargs)
+    if not kwargs.get("symmetrize"):
+        assert got.nnz == kwargs["nnz"]
+    assert int(got.rows.max()) >= 1 << (kwargs["scale"] - 1)
+    assert_same_matrix(got, reference_matrix.rmat(**kwargs))
+
+
+def _pool_draw(base_row, base_col, seed, rounds=None):
+    """A stub draw: ``k`` cells from a 6 x 6 block at (base_row, base_col),
+    drawn with replacement so every round has duplicates to drop.  Each
+    call appends to ``rounds`` when given."""
+    rng = np.random.default_rng(seed)
+
+    def draw(k):
+        if rounds is not None:
+            rounds.append(k)
+        return base_row + rng.integers(0, 6, k), base_col + rng.integers(0, 6, k)
+
+    return draw
+
+
+@pytest.mark.parametrize(
+    "base_row,packed",
+    [
+        # Keys near 2**62: past 2**(63 - b) for every round's b, so each
+        # round takes the argsort.
+        ((1 << 31) - 6, False),
+        (1 << 30, False),
+        # Keys below 2**57 (b <= 6 here): every round packs.
+        ((1 << 26) - 6, True),
+        (0, True),
+    ],
+)
+@pytest.mark.parametrize("nnz", [1, 20, 36])
+def test_sample_unique_large_keys_match_frozen(monkeypatch, base_row, packed, nnz):
+    n_cols = 1 << 31
+    argsorts = []
+    real_argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        argsorts.append(1)
+        return real_argsort(*args, **kwargs)
+
+    rounds = []
+    monkeypatch.setattr(np, "argsort", spy)
+    got = generators._sample_unique(_pool_draw(base_row, n_cols - 6, nnz, rounds), nnz, n_cols)
+    monkeypatch.undo()
+    assert len(argsorts) == (0 if packed else len(rounds))
+    want = reference_matrix._sample_unique(_pool_draw(base_row, n_cols - 6, nnz), nnz, n_cols)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got[0].shape == (nnz,)
+
+
+def test_sample_unique_unreachable_matches_frozen():
+    """A pool of 36 cells cannot give 37: the same error after the same
+    rounds."""
+    with pytest.raises(ValueError) as got:
+        generators._sample_unique(_pool_draw(1 << 30, 0, 5), 37, 1 << 31, max_rounds=6)
+    with pytest.raises(ValueError) as want:
+        reference_matrix._sample_unique(_pool_draw(1 << 30, 0, 5), 37, 1 << 31, max_rounds=6)
+    assert str(got.value) == str(want.value)

@@ -1,10 +1,13 @@
 """Unit tests for the SparseMatrix container."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.sparse import generators, matrix as matrix_module
 from repro.sparse.matrix import SPMM_BLOCK_BYTES, SparseMatrix
+from tests.sparse import reference_matrix as reference
 
 
 class TestConstruction:
@@ -97,6 +100,164 @@ class TestConstruction:
     def test_from_csr_indptr_tail_mismatch(self):
         with pytest.raises(ValueError, match="indptr"):
             SparseMatrix.from_csr(2, 2, np.array([0, 1, 2]), np.array([0]))
+
+
+def _assert_matches_frozen(got, n_rows, n_cols, rows, cols, vals=None, dtype=np.float32):
+    """``got`` holds exactly the frozen argsort canonicalization of the
+    input the constructor received: the bytes and dtypes of ``rows``,
+    ``cols`` and ``vals``, and the content digest."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.ones(rows.shape[0], dtype=dtype) if vals is None else np.asarray(vals, dtype=dtype)
+    want = reference._canonicalize(n_rows, n_cols, rows, cols, vals)
+    for field, expected in zip(("rows", "cols", "vals"), want):
+        actual = getattr(got, field)
+        assert actual.dtype == expected.dtype, field
+        assert actual.tobytes() == expected.tobytes(), field
+    frozen = SparseMatrix._from_canonical(n_rows, n_cols, *want)
+    assert got.content_digest() == frozen.content_digest()
+
+
+def _order_exposing_cells(dtype):
+    """Unsorted entries: one cell per order of ``(big, 1, -big)``, each
+    cell's three entries interleaved with the other cells' in reverse cell
+    order, plus singletons.  ``big`` absorbs the 1 in ``dtype``, so the
+    sums differ by order (1 or 0)."""
+    big = dtype(1e8) if dtype is np.float32 else dtype(1e17)
+    assert big + dtype(1) == big
+    orders = list(itertools.permutations((big, dtype(1), -big)))
+    sums = set()
+    for order in orders:
+        acc = dtype(0)
+        for v in order:
+            acc = dtype(acc + v)
+        sums.add(float(acc))
+    assert sums == {0.0, 1.0}
+    rows, cols, vals = [], [], []
+    for j in range(3):
+        for i in reversed(range(len(orders))):
+            rows.append(i % 3)
+            cols.append(7 - i)
+            vals.append(orders[i][j])
+    rows += [5, 0, 4]
+    cols += [1, 9, 0]
+    vals += [dtype(2.5), dtype(-3), dtype(7)]
+    return rows, cols, vals
+
+
+class TestCanonicalOrderMatchesFrozen:
+    """The constructor's packed-key sort against the frozen stable
+    argsort (``tests/sparse/reference_matrix.py``), byte for byte."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unsorted_duplicates_sum_in_input_order(self, dtype):
+        rows, cols, vals = _order_exposing_cells(dtype)
+        got = SparseMatrix(6, 10, rows, cols, vals, dtype=dtype)
+        assert got.nnz == 6 + 3
+        _assert_matches_frozen(got, 6, 10, rows, cols, vals, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sorted_input_and_one_duplicate(self, small_rmat, dtype):
+        vals = np.random.default_rng(3).standard_normal(small_rmat.nnz)
+        rows, cols = small_rmat.rows, small_rmat.cols
+        got = SparseMatrix(small_rmat.n_rows, small_rmat.n_cols, rows, cols, vals, dtype=dtype)
+        _assert_matches_frozen(got, *small_rmat.shape, rows, cols, vals, dtype)
+        # The fast path copies: the input stays writeable and unshared.
+        assert not np.shares_memory(got.rows, rows) and not np.shares_memory(got.vals, vals)
+        at = small_rmat.nnz // 2
+        dup_rows = np.insert(rows, at, rows[at])
+        dup_cols = np.insert(cols, at, cols[at])
+        dup_vals = np.insert(vals, at, 0.25)
+        got = SparseMatrix(*small_rmat.shape, dup_rows, dup_cols, dup_vals, dtype=dtype)
+        assert got.nnz == small_rmat.nnz
+        _assert_matches_frozen(got, *small_rmat.shape, dup_rows, dup_cols, dup_vals, dtype)
+
+    def test_fast_path_does_not_alias_int64_input(self):
+        rows = np.array([0, 1, 2], dtype=np.int64)
+        cols = np.array([2, 0, 1], dtype=np.int64)
+        vals = np.array([1.0, 2.0, 3.0], dtype=np.float32)
+        m = SparseMatrix(3, 3, rows, cols, vals)
+        rows[0] = 2
+        vals[0] = 9.0
+        assert rows.flags.writeable and vals.flags.writeable
+        assert m.rows.tolist() == [0, 1, 2] and m.vals.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "rows,cols,vals",
+        [([], [], []), ([3], [4], [2.5]), ([2, 2], [1, 1], [1.0, 2.0])],
+        ids=["empty", "one-nonzero", "one-cell-twice"],
+    )
+    def test_degenerate_inputs(self, rows, cols, vals):
+        got = SparseMatrix(5, 6, rows, cols, vals)
+        _assert_matches_frozen(got, 5, 6, rows, cols, vals)
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda m: SparseMatrix.from_csr(m.n_rows, m.n_cols, *m.to_csr(), dtype=m.dtype),
+            lambda m: m.transpose(),
+            lambda m: m.symmetrized(),
+            lambda m: m.permute(
+                np.random.default_rng(1).permutation(m.n_rows),
+                np.random.default_rng(2).permutation(m.n_cols),
+            ),
+            lambda m: m.permute(row_perm=np.random.default_rng(4).permutation(m.n_rows)),
+            lambda m: m.select_nonzeros(np.random.default_rng(5).random(m.nnz) < 0.5),
+            lambda m: m.transpose().symmetrized(),
+        ],
+        ids=["from_csr", "transpose", "symmetrized", "permute", "permute-rows",
+             "select_nonzeros", "transpose-symmetrized"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_derived_matrices(self, monkeypatch, small_rmat, derive, dtype):
+        """Every constructor call a transformation makes returns the frozen
+        canonicalization of exactly what that call received."""
+        vals = np.random.default_rng(6).standard_normal(small_rmat.nnz).astype(dtype)
+        base = SparseMatrix(*small_rmat.shape, small_rmat.rows, small_rmat.cols, vals, dtype=dtype)
+        live = matrix_module._canonicalize
+        calls = []
+
+        def recording(n_rows, n_cols, rows, cols, vals):
+            received = (n_rows, n_cols, rows.copy(), cols.copy(), vals.copy())
+            out = live(n_rows, n_cols, rows, cols, vals)
+            calls.append((received, SparseMatrix._from_canonical(n_rows, n_cols, *out)))
+            return out
+
+        monkeypatch.setattr(matrix_module, "_canonicalize", recording)
+        got = derive(base)
+        monkeypatch.undo()
+        assert calls and got == calls[-1][1]
+        for (n_rows, n_cols, rows, cols, vals), out in calls:
+            assert vals.dtype == dtype
+            _assert_matches_frozen(out, n_rows, n_cols, rows, cols, vals, dtype)
+
+    @pytest.mark.parametrize(
+        "n_rows,n_cols,packed",
+        [
+            (2**30, 2**30, True),  # 6 positions take 3 bits: 2**60 cells just fit
+            (2**30 - 1, 2**30, True),
+            (2**30, 2**30 + 1, False),  # just above: the stable argsort
+            (2**31, 2**31, False),
+        ],
+    )
+    def test_shapes_at_the_packing_bound(self, monkeypatch, n_rows, n_cols, packed):
+        # The last cell sums 1, 1e8, -1e8 in that order (0; 1 reversed).
+        rows = [n_rows - 1, 0, n_rows - 1, 7, n_rows - 1, n_rows - 1]
+        cols = [n_cols - 1, n_cols - 1, 0, 3, n_cols - 1, n_cols - 1]
+        vals = [1.0, 2.0, 3.0, 4.0, 1e8, -1e8]
+        argsorts = []
+        real_argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            argsorts.append(kwargs.get("kind"))
+            return real_argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        got = SparseMatrix(n_rows, n_cols, rows, cols, vals)
+        monkeypatch.undo()
+        assert argsorts == ([] if packed else ["stable"])
+        assert got.nnz == 4
+        _assert_matches_frozen(got, n_rows, n_cols, rows, cols, vals)
 
 
 class TestQueries:
