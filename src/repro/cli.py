@@ -44,13 +44,6 @@ and emit a Chrome-trace/Perfetto JSON plus a text flamegraph summary::
 Experiment runs and the service take ``--trace FILE`` to record their
 whole lifetime into the same format.
 
-*Perf benchmarks* -- time the simulator hot path (preprocess /
-build_plans / simulate) against the frozen pre-optimization reference
-and gate against a committed baseline (docs/performance.md)::
-
-    hottiles bench [--quick] [-o BENCH_PERF.json] \\
-        [--baseline benchmarks/BENCH_PERF_BASELINE.json] [--tolerance 0.25]
-
 *Cache maintenance*::
 
     hottiles cache stats|clear [--cache-dir D]
@@ -159,6 +152,31 @@ def _executor_from(args: argparse.Namespace):
         raise SystemExit(f"--cache-dir: {exc}")
 
 
+def _matrix_arg(parser: argparse.ArgumentParser, name: str):
+    """The benchmark matrix called ``name``, else the MatrixMarket file at
+    that path.  A file that cannot be opened or parsed is a usage error."""
+    from repro.experiments.matrices import ALL_MATRICES, load_matrix
+    from repro.sparse.mmio import read_matrix_market
+
+    if name in ALL_MATRICES:
+        return load_matrix(name)
+    try:
+        return read_matrix_market(name)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read matrix {name!r}: {exc}")
+
+
+def _architecture_arg(parser: argparse.ArgumentParser, name: str, scale: int):
+    """The ``--arch`` architecture at system scale ``--scale``.  A scale the
+    factory rejects is a usage error."""
+    from repro.arch.configs import build_architecture
+
+    try:
+        return build_architecture(name, scale)
+    except ValueError as exc:
+        parser.error(f"--scale {scale}: {exc}")
+
+
 # ----------------------------------------------------------------------
 def _experiment_command(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
@@ -239,10 +257,7 @@ def _experiment_command(argv: List[str]) -> int:
 
 # ----------------------------------------------------------------------
 def _sweep_command(argv: List[str]) -> int:
-    from repro.arch.configs import spade_sextans
-    from repro.experiments.matrices import ALL_MATRICES, load_matrix
     from repro.experiments.sweeps import bandwidth_sweep, cold_count_sweep, k_sweep
-    from repro.sparse.mmio import read_matrix_market
 
     parser = argparse.ArgumentParser(
         prog="hottiles sweep",
@@ -270,13 +285,17 @@ def _sweep_command(argv: List[str]) -> int:
     )
     _add_executor_flags(parser)
     args = parser.parse_args(argv)
+    # K and worker counts are cut to ints, so they must be at least 1; a
+    # bandwidth factor need only be positive.  NaN fails every comparison.
+    least = "positive" if args.kind == "bandwidth" else "at least 1"
+    if args.points and not all(
+        p < float("inf") and (p > 0 if args.kind == "bandwidth" else p >= 1)
+        for p in args.points
+    ):
+        parser.error(f"--points must be finite and {least} for --kind {args.kind}")
 
-    matrix = (
-        load_matrix(args.matrix)
-        if args.matrix in ALL_MATRICES
-        else read_matrix_market(args.matrix)
-    )
-    arch = spade_sextans(args.scale)
+    arch = _architecture_arg(parser, "spade-sextans", args.scale)
+    matrix = _matrix_arg(parser, args.matrix)
     executor = _executor_from(args)
     with use_executor(executor):
         if args.kind == "bandwidth":
@@ -302,15 +321,17 @@ def _sweep_command(argv: List[str]) -> int:
 
 # ----------------------------------------------------------------------
 def _partition_command(argv: List[str]) -> int:
-    from repro.arch.configs import ARCHITECTURE_FACTORIES, build_architecture
+    from repro.arch.configs import ARCHITECTURE_FACTORIES
     from repro.pipeline.preprocess import HotTilesPreprocessor
-    from repro.sparse.mmio import read_matrix_market
 
     parser = argparse.ArgumentParser(
         prog="hottiles partition",
         description="Partition a MatrixMarket matrix for a heterogeneous accelerator",
     )
-    parser.add_argument("matrix", help="path to a MatrixMarket .mtx file")
+    parser.add_argument(
+        "matrix",
+        help="path to a MatrixMarket .mtx file or a benchmark short name (e.g. pap)",
+    )
     parser.add_argument(
         "--arch",
         default="spade-sextans",
@@ -330,8 +351,8 @@ def _partition_command(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    arch = build_architecture(args.arch, args.scale)
-    matrix = read_matrix_market(args.matrix)
+    arch = _architecture_arg(parser, args.arch, args.scale)
+    matrix = _matrix_arg(parser, args.matrix)
     print(f"matrix: {matrix}")
     print(f"architecture: {arch}")
 
@@ -408,13 +429,11 @@ def _save_formats(result, out: Path) -> List[str]:
 
 # ----------------------------------------------------------------------
 def _trace_command(argv: List[str]) -> int:
-    from repro.arch.configs import ARCHITECTURE_FACTORIES, build_architecture
-    from repro.experiments.matrices import ALL_MATRICES, load_matrix
+    from repro.arch.configs import ARCHITECTURE_FACTORIES
     from repro.obs import Tracer, flamegraph_summary, save_chrome_trace, use_tracer
     from repro.pipeline.preprocess import HotTilesPreprocessor
     from repro.sim.engine import simulate
     from repro.sim.utilization import bandwidth_sparkline
-    from repro.sparse.mmio import read_matrix_market
 
     parser = argparse.ArgumentParser(
         prog="hottiles trace",
@@ -448,12 +467,8 @@ def _trace_command(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    arch = build_architecture(args.arch, args.scale)
-    matrix = (
-        load_matrix(args.matrix)
-        if args.matrix in ALL_MATRICES
-        else read_matrix_market(args.matrix)
-    )
+    arch = _architecture_arg(parser, args.arch, args.scale)
+    matrix = _matrix_arg(parser, args.matrix)
     print(f"matrix: {matrix}")
     print(f"architecture: {arch}")
 
@@ -671,8 +686,6 @@ def _loadgen_command(argv: List[str]) -> int:
 def _delta_replay_command(argv: List[str]) -> int:
     from repro.arch.configs import ARCHITECTURE_FACTORIES
     from repro.experiments.deltastream import DEFAULT_EPSILON, delta_replay
-    from repro.experiments.matrices import ALL_MATRICES, load_matrix
-    from repro.sparse.mmio import read_matrix_market
 
     parser = argparse.ArgumentParser(
         prog="hottiles delta-replay",
@@ -725,11 +738,9 @@ def _delta_replay_command(argv: List[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    matrix = (
-        load_matrix(args.matrix)
-        if args.matrix in ALL_MATRICES
-        else read_matrix_market(args.matrix)
-    )
+    # A usage error before the replay builds the architecture itself.
+    _architecture_arg(parser, args.arch, args.scale)
+    matrix = _matrix_arg(parser, args.matrix)
     try:
         result = delta_replay(
             matrix,
@@ -798,75 +809,6 @@ def _cache_command(argv: List[str]) -> int:
     return 0
 
 
-def _bench_command(argv: List[str]) -> int:
-    from repro.experiments import perfbench
-
-    parser = argparse.ArgumentParser(
-        prog="hottiles bench",
-        description=(
-            "Hot-path perf microbenchmarks (docs/performance.md): time "
-            "preprocess / build_plans / simulate per synthetic matrix and "
-            "emit a BENCH_PERF.json report"
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="only the small CI cases (the committed baseline's set)",
-    )
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=5,
-        metavar="N",
-        help="best-of-N repetitions per stage (default 5)",
-    )
-    parser.add_argument(
-        "-o",
-        "--output",
-        default="BENCH_PERF.json",
-        metavar="FILE",
-        help="report path (default BENCH_PERF.json)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="compare against this committed report; exit 1 on regression",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=perfbench.DEFAULT_TOLERANCE,
-        metavar="F",
-        help=(
-            "relative slack on gated ratios before a stage counts as a "
-            f"regression (default {perfbench.DEFAULT_TOLERANCE})"
-        ),
-    )
-    args = parser.parse_args(argv)
-
-    report = perfbench.run_bench(quick=args.quick, repeat=args.repeat)
-    print(perfbench.format_report(report))
-    perfbench.write_report(report, args.output)
-    print(f"wrote {args.output}")
-
-    if args.baseline is None:
-        return 0
-    try:
-        baseline = perfbench.load_report(args.baseline)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"--baseline: {exc}")
-    failures = perfbench.compare(report, baseline, tolerance=args.tolerance)
-    if failures:
-        print(f"PERF REGRESSION vs {args.baseline}:")
-        for failure in failures:
-            print(f"  {failure}")
-        return 1
-    print(f"no regression vs {args.baseline} (tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def _fidelity_command(argv: List[str]) -> int:
     from repro.experiments.fidelity import main as fidelity_main
 
@@ -889,9 +831,6 @@ SUBCOMMANDS: Dict[str, Tuple[Callable[[List[str]], int], str]] = {
     ),
     "cache": (_cache_command, "experiment result cache maintenance (stats, clear)"),
     "trace": (_trace_command, "profile one run into a Chrome-trace/Perfetto JSON"),
-    "bench": (
-        _bench_command, "hot-path perf benchmarks against the frozen reference"
-    ),
     "fidelity": (
         _fidelity_command, "predicted-vs-simulated error sweep (contention vs naive)"
     ),

@@ -85,7 +85,8 @@ def plan_endpoint(service: PlanService, payload: Mapping[str, Any]) -> Reply:
     except PlanFailed as exc:
         if exc.error.type == ProtocolError.__name__:
             # The worker could not build the matrix the request names (a
-            # generator rejected its parameters): malformed, not a failure.
+            # generator rejected its parameters, or the ``matrix_path``
+            # file is not MatrixMarket): malformed, not a failure.
             return 400, {"error": exc.error.message}, {}
         # A plan is deterministic, so a retry would fail the same way:
         # 500, with the structured record for diagnosis (docs/service.md).

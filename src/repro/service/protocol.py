@@ -207,7 +207,7 @@ class PlanRequest:
 
             try:
                 return read_matrix_market(self.matrix_path)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:  # ValueError: not MatrixMarket
                 raise ProtocolError(f"cannot read matrix_path: {exc}") from None
         spec = dict(self.generator)  # type: ignore[arg-type]
         kind = spec.pop("kind")

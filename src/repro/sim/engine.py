@@ -204,8 +204,8 @@ def _run_fluid(
     in turn.  Every arithmetic step (rate grants, interval lengths,
     remaining work updates, clamps) is performed in the same order and
     with the same IEEE-754 operations as the pre-optimization loop
-    preserved in :mod:`repro.sim._reference`, so results are bit-identical
-    -- pinned by ``tests/sim/test_perf_differential.py``.
+    preserved in ``tests/sim/reference_sim.py``, so results are
+    bit-identical -- pinned by ``tests/sim/test_perf_differential.py``.
 
     When ``tracer`` is an enabled :class:`~repro.obs.tracer.Tracer`, the
     run is narrated onto virtual-time tracks (one per instance, named by

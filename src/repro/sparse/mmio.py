@@ -75,17 +75,26 @@ def read_matrix_market(
         raise ValueError(
             f"{field} entries need {expected_cols} columns, found {body.shape[1]}"
         )
-    rows = body[:, 0].astype(np.int64) - 1
-    cols = body[:, 1].astype(np.int64) - 1
+    # Indices are parsed as floats: one that is not a whole number would
+    # otherwise be truncated to a valid-looking int.
+    coords = body[:, :2]
+    whole = (np.isfinite(coords) & (coords == np.floor(coords))).all(axis=1)
+    if not whole.all():
+        entry = int(np.argmin(whole))
+        raise ValueError(
+            f"entry {entry + 1}: row and column indices must be whole numbers, "
+            f"got {coords[entry, 0]:g} {coords[entry, 1]:g}"
+        )
     if nnz:
-        for name, idx, bound in (("row", rows, n_rows), ("column", cols, n_cols)):
+        for name, idx, bound in zip(("row", "column"), coords.T, (n_rows, n_cols)):
             lo, hi = int(idx.min()), int(idx.max())
-            if lo < 0 or hi >= bound:
-                bad = lo + 1 if lo < 0 else hi + 1
+            if lo < 1 or hi > bound:
                 raise ValueError(
-                    f"{name} index {bad} out of range for a "
+                    f"{name} index {lo if lo < 1 else hi} out of range for a "
                     f"{n_rows}x{n_cols} matrix (1-based indices expected)"
                 )
+    rows = coords[:, 0].astype(np.int64) - 1
+    cols = coords[:, 1].astype(np.int64) - 1
     vals = np.ones(nnz, dtype=dtype) if field == "pattern" else body[:, 2].astype(dtype)
 
     if symmetry in ("symmetric", "skew-symmetric"):
@@ -93,8 +102,10 @@ def read_matrix_market(
         mirror_vals = vals[off_diag]
         if symmetry == "skew-symmetric":
             mirror_vals = -mirror_vals
-        rows = np.concatenate([rows, cols[off_diag]])
-        cols = np.concatenate([cols, body[:, 0].astype(np.int64)[off_diag] - 1])
+        rows, cols = (
+            np.concatenate([rows, cols[off_diag]]),
+            np.concatenate([cols, rows[off_diag]]),
+        )
         vals = np.concatenate([vals, mirror_vals])
     return SparseMatrix(n_rows, n_cols, rows, cols, vals, dtype=dtype)
 

@@ -119,6 +119,28 @@ class TestPlanEndpoint:
         assert status == 400
         assert "cannot read matrix_path" in body["error"]
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (
+                b"%%MatrixMarket matrix coordinate real general\n3 3 1\n4 1 1.0\n",
+                "row index 4 out of range",
+            ),
+            (b"\xff\xfe%%MatrixMarket matrix coordinate real general\n", "codec"),
+        ],
+        ids=["index-out-of-range", "not-text"],
+    )
+    def test_malformed_matrix_path_is_400(self, service, tmp_path, content, message):
+        # The file is read and hashed for the digest, then parsed by the
+        # worker: a parse error there is a malformed request, not a 500.
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(content)
+        status, body, _ = api.plan_endpoint(service, {"matrix_path": str(path)})
+        assert status == 400
+        assert body["error"].startswith("cannot read matrix_path: ")
+        assert message in body["error"]
+        assert service.metrics.snapshot()["counters"]["requests_failed"] == 1
+
 
 class TestGetPlanEndpoint:
     @pytest.mark.parametrize("digest", ["", "xyz", "ABCDEF", "ab/cd", "ab cd"])

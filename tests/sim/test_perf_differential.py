@@ -2,7 +2,7 @@
 
 The vectorized ``build_plans`` and the incremental fluid engine must be
 *bit-identical* to the per-tile-Python-loop / full-recompute originals
-frozen in :mod:`repro.sim._reference` -- every plan field, every phase
+frozen in ``reference_sim.py`` -- every plan field, every phase
 tuple, every ``SimResult`` field, with tracing enabled and disabled.
 Exact ``==`` throughout, no tolerances: the optimizations were chosen so
 that every floating-point reduction associates identically.
@@ -17,8 +17,8 @@ from repro.arch.configs import piuma, spade_sextans, spade_sextans_pcie
 from repro.core.contention import UNTILED_BLOCK_DIVISOR
 from repro.core.partition import ExecutionMode
 from repro.obs import Tracer, use_tracer
-from repro.sim import _reference
-from repro.sim._reference import (
+from tests.sim import reference_sim as _reference
+from tests.sim.reference_sim import (
     Chunk,
     build_plans_reference,
     run_fluid_reference,

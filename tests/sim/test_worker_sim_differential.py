@@ -27,7 +27,6 @@ from repro.core.contention import UNTILED_BLOCK_DIVISOR
 from repro.core.partition import ExecutionMode, TileSplit
 from repro.core.problem import ProblemSpec
 from repro.core.traits import OVERLAP_NONE
-from repro.sim._reference import run_fluid_reference
 from repro.sim.engine import SimResult, _group_stats, simulate
 from repro.sim.worker_sim import _balance, build_plans
 from repro.sparse import generators
@@ -36,6 +35,7 @@ from repro.sparse.tiling import TiledMatrix
 from tests.core.test_model import PROBLEM, cold_worker, hot_worker
 from tests.core.test_partition import tiny_arch
 from tests.sim import reference_worker_sim
+from tests.sim.reference_sim import run_fluid_reference
 
 MATRICES = {
     "rmat": lambda seed: generators.rmat(scale=9, nnz=3_000, seed=seed),

@@ -155,6 +155,59 @@ class TestSweepCommand:
         assert "sweep" in capsys.readouterr().out
 
 
+class TestBadInputIsAUsageError:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["partition", "{missing}"], "cannot read matrix '{missing}': [Errno 2]"),
+            (["partition", "{bad}"], "cannot read matrix '{bad}': row index 4 out of range"),
+            (["partition", "pap", "--scale", "0"], "--scale 0: scales must be non-negative"),
+            (["trace", "{missing}"], "cannot read matrix '{missing}': [Errno 2]"),
+            (["trace", "{bad}", "-o", "{trace}"], "row index 4 out of range"),
+            (["trace", "pap", "--scale", "-1"], "--scale -1: scales must be non-negative"),
+            (["sweep", "{missing}"], "cannot read matrix '{missing}': [Errno 2]"),
+            (["sweep", "{bad}"], "row index 4 out of range"),
+            (["sweep", "pap", "--scale", "0"], "--scale 0: scales must be non-negative"),
+            (["sweep", "pap", "--points", "0"],
+             "--points must be finite and positive for --kind bandwidth"),
+            (["sweep", "pap", "--points", "1", "nan"],
+             "--points must be finite and positive for --kind bandwidth"),
+            (["sweep", "pap", "--kind", "k", "--points", "8", "0.5"],
+             "--points must be finite and at least 1 for --kind k"),
+            (["sweep", "pap", "--kind", "cold-count", "--points", "inf"],
+             "--points must be finite and at least 1 for --kind cold-count"),
+            (["delta-replay", "{missing}"], "cannot read matrix '{missing}': [Errno 2]"),
+            (["delta-replay", "{bad}"], "row index 4 out of range"),
+            (["delta-replay", "pap", "--scale", "0"],
+             "--scale 0: scales must be non-negative"),
+        ],
+        ids=["partition-missing", "partition-malformed", "partition-scale-0",
+             "trace-missing", "trace-malformed", "trace-scale-negative",
+             "sweep-missing", "sweep-malformed", "sweep-scale-0", "sweep-points-0",
+             "sweep-points-nan", "sweep-k-fraction", "sweep-cold-count-inf",
+             "delta-replay-missing", "delta-replay-malformed", "delta-replay-scale-0"],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, argv, message):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n3 3 1\n4 1 1.0\n")
+        paths = {
+            "missing": str(tmp_path / "missing.mtx"),
+            "bad": str(bad),
+            "trace": str(tmp_path / "trace.json"),
+        }
+        argv = [arg.format(**paths) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [err.strip().splitlines()[-1]]
+        assert errors[0].startswith(f"hottiles {argv[0]}: error: ")
+        assert message.format(**paths) in errors[0]
+        assert not (tmp_path / "trace.json").exists()
+
+
 class TestVersionAndUnknown:
     def test_version_flag(self, capsys):
         import repro
