@@ -22,10 +22,9 @@ MatrixMarket file, exactly what the paper's host-side framework does
         [--save-dir out/] [--verify]
 
 *Serving* -- run the preprocessing pipeline as a long-lived plan service
-(see docs/service.md) and drive it::
+(see docs/service.md)::
 
     hottiles serve [--port 8750] [--workers 2] [--queue-depth 16]
-    hottiles loadgen [--requests 200] [--concurrency 8] [--json report.json]
 
 ``--port 0`` binds an ephemeral port, reported as a ``port=`` token on
 stdout; SIGTERM or SIGINT drains in-flight plans, then exits 0.
@@ -141,15 +140,17 @@ def _maybe_tracing(path: Optional[str]) -> Iterator[None]:
     print(f"trace written to {saved} ({len(tracer)} records)")
 
 
-def _executor_from(args: argparse.Namespace):
+def _executor_from(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """The executor the flags describe.  ``--jobs`` below 1 and a
+    ``--cache-dir`` that is not a directory are usage errors."""
     if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         return configure_executor(
             jobs=args.jobs, cache_dir=args.cache_dir, no_cache=args.no_cache
         )
     except NotADirectoryError as exc:
-        raise SystemExit(f"--cache-dir: {exc}")
+        parser.error(f"--cache-dir: {exc}")
 
 
 def _matrix_arg(parser: argparse.ArgumentParser, name: str):
@@ -226,7 +227,7 @@ def _experiment_command(argv: List[str]) -> int:
         return 0
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    executor = _executor_from(args)
+    executor = _executor_from(parser, args)
     with _maybe_tracing(args.trace), use_executor(executor):
         for name in names:
             fn = EXPERIMENTS[name]
@@ -294,9 +295,9 @@ def _sweep_command(argv: List[str]) -> int:
     ):
         parser.error(f"--points must be finite and {least} for --kind {args.kind}")
 
+    executor = _executor_from(parser, args)
     arch = _architecture_arg(parser, "spade-sextans", args.scale)
     matrix = _matrix_arg(parser, args.matrix)
-    executor = _executor_from(args)
     with use_executor(executor):
         if args.kind == "bandwidth":
             points = args.points or [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -609,80 +610,6 @@ def _drain_on_sigterm() -> None:
         pass  # not the main thread (embedded use); caller handles signals
 
 
-def _loadgen_command(argv: List[str]) -> int:
-    from repro.service.loadgen import run_loadgen
-
-    parser = argparse.ArgumentParser(
-        prog="hottiles loadgen",
-        description="Closed-loop load generator against a running plan service",
-    )
-    parser.add_argument(
-        "--url", default="http://127.0.0.1:8750", help="service base URL"
-    )
-    parser.add_argument(
-        "--requests", type=int, default=200, help="requests per pass (default: 200)"
-    )
-    parser.add_argument(
-        "--concurrency", type=int, default=8, help="in-flight clients (default: 8)"
-    )
-    parser.add_argument(
-        "--plans",
-        type=int,
-        default=4,
-        help="distinct plan requests drawn round-robin (default: 4)",
-    )
-    parser.add_argument(
-        "--passes",
-        type=int,
-        default=2,
-        help="workload passes; pass 1 is cold, the rest are warm (default: 2)",
-    )
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="write the full report as JSON to FILE, or to stdout when "
-        "given bare (progress then goes to stderr, so stdout parses "
-        "whole with json.loads)",
-    )
-    args = parser.parse_args(argv)
-    if args.passes < 1:
-        raise SystemExit("--passes must be >= 1")
-
-    import json as _json
-
-    # Satellite contract: with --json on stdout, every human-readable
-    # line moves to stderr so stdout is exactly one JSON document.
-    json_to_stdout = args.json == "-"
-    out = sys.stderr if json_to_stdout else sys.stdout
-
-    def progress(*pargs: object) -> None:
-        print(*pargs, file=out, flush=True)
-
-    def emit_json(payload: Dict) -> None:
-        if json_to_stdout:
-            print(_json.dumps(payload, indent=2, sort_keys=True))
-        elif args.json:
-            Path(args.json).write_text(
-                _json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
-            progress(f"report written to {args.json}")
-
-    report = run_loadgen(
-        args.url.rstrip("/"),
-        requests=args.requests,
-        concurrency=args.concurrency,
-        plans=args.plans,
-        passes=args.passes,
-    )
-    progress(report.render())
-    emit_json(report.to_dict())
-    failed = bool(report.failed) or not report.reconciles()
-    return 1 if failed else 0
-
-
 def _delta_replay_command(argv: List[str]) -> int:
     from repro.arch.configs import ARCHITECTURE_FACTORIES
     from repro.experiments.deltastream import DEFAULT_EPSILON, delta_replay
@@ -737,6 +664,15 @@ def _delta_replay_command(argv: List[str]) -> int:
         help="also write the replay as a JSON report (the CI artifact)",
     )
     args = parser.parse_args(argv)
+    if args.steps < 1:
+        parser.error(f"--steps must be >= 1, got {args.steps}")
+    for flag, count in (("--inserts", args.inserts), ("--deletes", args.deletes)):
+        if count < 0:
+            parser.error(f"{flag} must be >= 0, got {count}")
+    # NaN fails every comparison, so it would fail the gate after a whole
+    # replay, and an infinite epsilon would pass any drift.
+    if not 0 <= args.epsilon < float("inf"):
+        parser.error(f"--epsilon must be finite and >= 0, got {args.epsilon:g}")
 
     # A usage error before the replay builds the architecture itself.
     _architecture_arg(parser, args.arch, args.scale)
@@ -788,7 +724,7 @@ def _cache_command(argv: List[str]) -> int:
     try:
         cache = ResultCache(args.cache_dir)
     except NotADirectoryError as exc:
-        raise SystemExit(f"--cache-dir: {exc}")
+        parser.error(f"--cache-dir: {exc}")
 
     if args.action == "clear":
         removed = cache.clear()
@@ -823,9 +759,6 @@ SUBCOMMANDS: Dict[str, Tuple[Callable[[List[str]], int], str]] = {
     ),
     "sweep": (_sweep_command, "bandwidth / K / cold-worker-count sensitivity sweeps"),
     "serve": (_serve_command, "run the HTTP partition-planning service"),
-    "loadgen": (
-        _loadgen_command, "closed-loop load generator against a running service"
-    ),
     "delta-replay": (
         _delta_replay_command, "seeded delta stream: incremental repair vs scratch"
     ),

@@ -15,10 +15,9 @@ a long-running *plan server*:
   per-request timeouts, and drain-and-shutdown,
 - :mod:`repro.service.httpd` -- the stdlib HTTP front end
   (``POST /plan``, ``GET /plan/<digest>``, ``GET /healthz``,
-  ``GET /stats``),
-- :mod:`repro.service.loadgen` -- a closed-loop load generator.
+  ``GET /stats``).
 
-``hottiles serve`` and ``hottiles loadgen`` are the CLI entry points.
+``hottiles serve`` is the CLI entry point.
 """
 
 from repro.service.metrics import Counter, Gauge, Histogram, MetricsRegistry

@@ -188,10 +188,10 @@ class PlanHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
     #: socketserver's default listen backlog is 5.  A client that opens
-    #: one connection per request (``hottiles loadgen`` does) with more
-    #: than about 6 in flight overflows it, the kernel drops the SYN, and
-    #: that connect waits about 1 s for the retransmit.  Admission is
-    #: bounded by the service's queue, not by the listen socket.
+    #: one connection per request (``urllib`` does) with more than about
+    #: 6 in flight overflows it, the kernel drops the SYN, and that
+    #: connect waits about 1 s for the retransmit.  Admission is bounded
+    #: by the service's queue, not by the listen socket.
     request_queue_size = socket.SOMAXCONN
 
     def __init__(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Iterable
+from typing import Any, Deque, Dict
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -117,14 +117,6 @@ class Histogram:
         hi = min(lo + 1, len(samples) - 1)
         frac = pos - lo
         return samples[lo] * (1 - frac) + samples[hi] * frac
-
-    def percentiles(self, qs: Iterable[float] = (50, 95, 99)) -> Dict[str, float]:
-        return {f"p{q:g}": self.percentile(q) for q in qs}
-
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self.sum / self.count if self.count else 0.0
 
     def snapshot(self) -> Dict[str, float]:
         """One internally consistent view of the whole instrument.

@@ -28,7 +28,9 @@ worker-side exception is captured as a :class:`StructuredError`
 exposed as ``last_errors`` in :meth:`PlanService.stats`.  An elapsed
 wait raises :class:`PlanTimeout`.
 
-Counter semantics (the reconciliation the load generator checks):
+Counter semantics (checked under load by ``tests/service/test_tracing.py``,
+``TestConcurrentLoad`` in ``tests/service/test_httpd.py`` and the SIGTERM
+drain test in ``tests/test_cli.py``):
 
 - every admitted request ends in exactly one of ``requests_timeout``,
   ``requests_failed``, or ``requests_completed``; a request shed by the

@@ -7,6 +7,9 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from http.client import HTTPConnection
 
 import pytest
@@ -44,6 +47,39 @@ def http(base, path, payload=None, timeout=30.0):
             return resp.status, json.loads(resp.read()), dict(resp.headers)
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read()), dict(exc.headers or {})
+
+
+@contextmanager
+def serving(service):
+    """``service`` behind a live ephemeral-port server; yields its base URL."""
+    server = make_server(service, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.bound_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+
+def plan_until_served(base, payload, attempts=50):
+    """POST ``payload`` to ``/plan``, sleeping out each ``429``'s
+    ``Retry-After`` before sending it again.  Returns the ``200`` body and
+    the ``Retry-After`` of every ``429`` before it."""
+    waits = []
+    for _ in range(attempts):
+        status, body, headers = http(base, "/plan", payload, timeout=60)
+        if status != 429:
+            assert status == 200, body
+            return body, waits
+        waits.append(float(headers["Retry-After"]))
+        time.sleep(waits[-1])
+    pytest.fail(f"still shed after {attempts} attempts")
+
+
+def settled(counters):
+    return (counters["requests_completed"] + counters["requests_failed"]
+            + counters["requests_timeout"])
 
 
 class TestEndpoints:
@@ -279,6 +315,103 @@ class TestBackpressureOverHTTP:
             server.shutdown()
             server.server_close()
             service.close()
+
+
+class TestConcurrentLoad:
+    """Concurrent clients, one connection per request: the store serves
+    repeats, shed requests succeed on retry, and ``/stats`` accounts for
+    every reply the clients saw."""
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"kind": "rmat", "scale": 8, "nnz": 2000},
+            {"kind": "uniform", "n_rows": 256, "n_cols": 256, "nnz": 2000},
+            {"kind": "banded", "n": 256, "nnz": 2000, "bandwidth": 8},
+            {"kind": "community", "n": 256, "nnz": 2000, "n_communities": 4},
+        ],
+        ids=lambda generator: generator["kind"],
+    )
+    def test_repeat_pass_is_served_from_the_store(self, live_server, generator):
+        base, _service = live_server
+        payloads = [{"generator": {**generator, "seed": s}} for s in range(3)]
+
+        def run_pass():
+            with ThreadPoolExecutor(4) as pool:
+                return list(pool.map(
+                    lambda i: plan_until_served(base, payloads[i % 3])[0], range(12)
+                ))
+
+        cold = run_pass()
+        _, before, _ = http(base, "/stats")
+        warm = run_pass()
+        _, after, _ = http(base, "/stats")
+        digests = {r["plan"]["digest"] for r in cold}
+        assert len(digests) == 3
+        assert {r["plan"]["digest"] for r in warm} == digests
+        assert all(r["served"] == "store" for r in warm)
+        hits = after["store"]["session_hits"] - before["store"]["session_hits"]
+        assert hits == 12
+        assert after["store"]["session_misses"] == before["store"]["session_misses"]
+        assert after["counters"]["plans_computed"] == 3
+        assert after["counters"]["requests_accepted"] == settled(after["counters"]) == 24
+
+    @pytest.mark.parametrize(
+        "workers, queue_depth", [(1, 1), (1, 4), (2, 1), (2, 8), (4, 2), (4, 16)]
+    )
+    def test_counters_reconcile_with_the_replies(self, tmp_path, workers, queue_depth):
+        service = PlanService(
+            store=PlanStore(tmp_path / "plans"), workers=workers, queue_depth=queue_depth
+        )
+        payloads = [
+            {"generator": {"kind": "rmat", "scale": 8, "nnz": 2000, "seed": s}}
+            for s in range(4)
+        ]
+        with serving(service) as base:
+            with ThreadPoolExecutor(8) as pool:
+                results = list(pool.map(
+                    lambda i: plan_until_served(base, payloads[i % 4]), range(32)
+                ))
+            _, stats, _ = http(base, "/stats")
+
+        counters = stats["counters"]
+        waits = [w for _, request_waits in results for w in request_waits]
+        # A shed request was never accepted; each retry is a new request.
+        assert all(w > 0 for w in waits)
+        assert counters["requests_rejected"] == len(waits)
+        assert counters["requests_accepted"] == settled(counters) == 32
+        assert counters["requests_failed"] == counters["requests_timeout"] == 0
+        # Each plan ran once; its first caller got ``computed``, callers
+        # that joined it ``coalesced``, and later callers the stored plan.
+        served = Counter(body["served"] for body, _ in results)
+        assert served["computed"] == counters["plans_computed"] == 4
+        assert served["coalesced"] == counters["requests_coalesced"]
+        assert served["store"] == stats["store"]["session_hits"]
+        assert sum(served.values()) == 32
+
+    def test_client_hang_up_still_settles_the_request(self, live_server):
+        base, _service = live_server
+        payload = json.dumps(RMAT).encode()
+        with socket.create_connection(("127.0.0.1", int(base.rsplit(":", 1)[1]))) as sock:
+            sock.sendall(
+                b"POST /plan HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload
+            )
+        # Closed before the reply: the plan still runs, is stored, and counts.
+        deadline = time.monotonic() + 30.0
+        while True:
+            _, stats, _ = http(base, "/stats")
+            if settled(stats["counters"]) == 1:
+                break
+            assert time.monotonic() < deadline, stats["counters"]
+            time.sleep(0.02)
+        status, body, _ = http(base, "/plan", RMAT)
+        assert (status, body["served"]) == (200, "store")
+        _, stats, _ = http(base, "/stats")
+        counters = stats["counters"]
+        assert counters["requests_accepted"] == counters["requests_completed"] == 2
+        assert counters["plans_computed"] == 1
 
 
 class TestListenBacklog:

@@ -51,7 +51,7 @@ class TestHistogram:
             h.observe(v)
         assert h.count == 3
         assert h.sum == 6.0
-        assert h.mean == 2.0
+        assert h.snapshot()["mean"] == 2.0
         assert h.max == 3.0
 
     def test_percentiles_on_uniform_samples(self):

@@ -51,12 +51,6 @@ class TestCli:
 
 
 class TestExecutorFlags:
-    def test_jobs_must_be_positive(self):
-        import pytest
-
-        with pytest.raises(SystemExit, match="--jobs"):
-            main(["fig18", "--subset", "ski", "--jobs", "0"])
-
     def test_cache_dir_reused_across_runs(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         args = ["fig04", "--subset", "pap", "--cache-dir", cache_dir]
@@ -180,12 +174,33 @@ class TestBadInputIsAUsageError:
             (["delta-replay", "{bad}"], "row index 4 out of range"),
             (["delta-replay", "pap", "--scale", "0"],
              "--scale 0: scales must be non-negative"),
+            (["fig18", "--jobs", "0", "--subset", "ski"], "--jobs must be >= 1, got 0"),
+            (["fig10", "--jobs", "0", "--subset", "ski"], "--jobs must be >= 1, got 0"),
+            (["sweep", "ski", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (["fig18", "--subset", "ski", "--cache-dir", "{bad}"],
+             "--cache-dir: cache dir {bad} exists and is not a directory"),
+            (["cache", "stats", "--cache-dir", "{bad}"],
+             "--cache-dir: cache dir {bad} exists and is not a directory"),
+            (["delta-replay", "pap", "--steps", "0"], "--steps must be >= 1, got 0"),
+            (["delta-replay", "pap", "--inserts", "-1"], "--inserts must be >= 0, got -1"),
+            (["delta-replay", "pap", "--deletes", "-1"], "--deletes must be >= 0, got -1"),
+            (["delta-replay", "pap", "--epsilon", "-1"],
+             "--epsilon must be finite and >= 0, got -1"),
+            (["delta-replay", "pap", "--epsilon", "nan"],
+             "--epsilon must be finite and >= 0, got nan"),
+            (["delta-replay", "pap", "--epsilon", "inf"],
+             "--epsilon must be finite and >= 0, got inf"),
         ],
         ids=["partition-missing", "partition-malformed", "partition-scale-0",
              "trace-missing", "trace-malformed", "trace-scale-negative",
              "sweep-missing", "sweep-malformed", "sweep-scale-0", "sweep-points-0",
              "sweep-points-nan", "sweep-k-fraction", "sweep-cold-count-inf",
-             "delta-replay-missing", "delta-replay-malformed", "delta-replay-scale-0"],
+             "delta-replay-missing", "delta-replay-malformed", "delta-replay-scale-0",
+             "fig18-jobs-0", "fig10-jobs-0", "sweep-jobs-0", "fig18-cache-dir-file",
+             "cache-stats-cache-dir-file", "delta-replay-steps-0",
+             "delta-replay-inserts-negative", "delta-replay-deletes-negative",
+             "delta-replay-epsilon-negative", "delta-replay-epsilon-nan",
+             "delta-replay-epsilon-inf"],
     )
     def test_exits_2_with_one_error_line(self, capsys, tmp_path, argv, message):
         bad = tmp_path / "bad.mtx"
@@ -203,9 +218,24 @@ class TestBadInputIsAUsageError:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == [err.strip().splitlines()[-1]]
-        assert errors[0].startswith(f"hottiles {argv[0]}: error: ")
+        prog = "hottiles" if argv[0] in EXPERIMENTS else f"hottiles {argv[0]}"
+        assert errors[0].startswith(f"{prog}: error: ")
         assert message.format(**paths) in errors[0]
         assert not (tmp_path / "trace.json").exists()
+
+    @pytest.mark.parametrize("experiment", [*EXPERIMENTS, "all"])
+    def test_jobs_below_1_stops_every_experiment_before_it_runs(
+        self, capsys, experiment
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--subset", "ski", "--jobs", "0"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err and err.count("error:") == 1
+        assert err.strip().splitlines()[-1] == (
+            "hottiles: error: --jobs must be >= 1, got 0"
+        )
 
 
 class TestVersionAndUnknown:
@@ -246,7 +276,7 @@ class TestVersionAndUnknown:
         "argv",
         [
             ["serve", "--cluster", "2"],
-            ["loadgen", "--cluster"],
+            ["serve", "--autoscale"],
             ["serve", "--no-degraded-fallback"],
         ],
     )
@@ -259,8 +289,13 @@ class TestVersionAndUnknown:
     def test_new_subcommands_listed(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("serve", "loadgen", "cache"):
+        for name in ("serve", "delta-replay", "cache"):
             assert name in out
+        # Exactly these seven; any other name gets the unknown-subcommand hint.
+        assert set(SUBCOMMANDS) == {
+            "partition", "sweep", "serve", "delta-replay", "cache", "trace",
+            "fidelity",
+        }
 
 
 class TestCacheCommand:
@@ -380,7 +415,11 @@ class TestServeCommand:
 
     def test_serve_drains_on_sigterm_and_exits_0(self, tmp_path):
         """A background server in a non-interactive shell ignores SIGINT,
-        so SIGTERM is its stop signal: drain, print ``served:``, exit 0."""
+        so SIGTERM is its stop signal: drain, print ``served:``, exit 0.
+
+        Before the signal, 32 requests over 4 plans from 8 threads, one
+        connection each, must all get ``200`` and leave ``/stats``
+        counters that reconcile."""
         import json
         import os
         import re
@@ -390,6 +429,7 @@ class TestServeCommand:
         import urllib.request
 
         import repro
+        from tests.service.test_tracing import get_stats, plan_payloads, post_plans
 
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ)
@@ -422,47 +462,27 @@ class TestServeCommand:
                 )
                 with urllib.request.urlopen(req, timeout=60) as resp:
                     assert json.loads(resp.read())["served"] == served
+            replies = post_plans(base, plan_payloads(4), requests=32, concurrency=8)
+            assert len(replies) == 32  # post_plans raises on any other status
+            counters = get_stats(base)["counters"]
+            assert counters["requests_accepted"] == 34
+            assert counters["requests_accepted"] == (
+                counters["requests_completed"]
+                + counters["requests_failed"]
+                + counters["requests_timeout"]
+            )
+            assert counters["requests_failed"] == counters["requests_timeout"] == 0
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=30)
             assert proc.returncode == 0, out
             served_lines = [x for x in out.splitlines() if x.startswith("served: ")]
             assert len(served_lines) == 1, out
-            assert "accepted=2" in served_lines[0]
-            assert "completed=2" in served_lines[0]
+            assert "accepted=34" in served_lines[0]
+            assert "completed=34" in served_lines[0]
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.communicate()
-
-
-class TestLoadgenCommand:
-    def test_loadgen_against_in_process_server(self, capsys, tmp_path):
-        import threading
-
-        from repro.service.httpd import make_server
-        from repro.service.planner import PlanService
-        from repro.service.store import PlanStore
-
-        service = PlanService(store=PlanStore(tmp_path / "plans"), workers=2)
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            code = main(
-                [
-                    "loadgen", "--url", url, "--requests", "20",
-                    "--concurrency", "4", "--plans", "2",
-                ]
-            )
-            out = capsys.readouterr().out
-            assert code == 0
-            assert "cold:" in out and "warm:" in out
-            assert "reconcile" in out
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
 
 
 class TestTraceCommand:
