@@ -29,12 +29,6 @@ MatrixMarket file, exactly what the paper's host-side framework does
 ``--port 0`` binds an ephemeral port, reported as a ``port=`` token on
 stdout; SIGTERM or SIGINT drains in-flight plans, then exits 0.
 
-*Streaming* (docs/streaming.md) -- replay a seeded delta stream and
-check incremental plan repair against from-scratch replanning::
-
-    hottiles delta-replay pap [--steps 5] [--inserts 60] [--deletes 40] \\
-        [--epsilon 0.01] [--json deltas.json]
-
 *Tracing* -- profile one simulated execution end to end (docs/tracing.md)
 and emit a Chrome-trace/Perfetto JSON plus a text flamegraph summary::
 
@@ -56,7 +50,6 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -178,6 +171,29 @@ def _architecture_arg(parser: argparse.ArgumentParser, name: str, scale: int):
         parser.error(f"--scale {scale}: {exc}")
 
 
+def _check_subset(
+    parser: argparse.ArgumentParser, names: List[str], subset: List[str]
+) -> None:
+    """Every ``--subset`` name must be in the matrix table of each experiment
+    in ``names``: fig05 takes any benchmark, fig15 Table VIII and the rest
+    Table V.  A miss is a usage error."""
+    from repro.experiments.matrices import ALL_MATRICES, TABLE_V, TABLE_VIII
+
+    for name in names:
+        if name in _SINGLE_MATRIX:
+            table, title = ALL_MATRICES, "a benchmark matrix"
+        elif name == "fig15":
+            table, title = TABLE_VIII, "Table VIII matrices"
+        else:
+            table, title = TABLE_V, "Table V matrices"
+        unknown = [short for short in subset if short not in table]
+        if unknown:
+            parser.error(
+                f"--subset {' '.join(unknown)}: {name} takes {title} "
+                f"({', '.join(table)})"
+            )
+
+
 # ----------------------------------------------------------------------
 def _experiment_command(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
@@ -228,6 +244,8 @@ def _experiment_command(argv: List[str]) -> int:
 
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     executor = _executor_from(parser, args)
+    if args.subset:
+        _check_subset(parser, names, args.subset)
     with _maybe_tracing(args.trace), use_executor(executor):
         for name in names:
             fn = EXPERIMENTS[name]
@@ -324,6 +342,7 @@ def _sweep_command(argv: List[str]) -> int:
 def _partition_command(argv: List[str]) -> int:
     from repro.arch.configs import ARCHITECTURE_FACTORIES
     from repro.pipeline.preprocess import HotTilesPreprocessor
+    from repro.pipeline.serialize import save_artifacts
 
     parser = argparse.ArgumentParser(
         prog="hottiles partition",
@@ -402,30 +421,9 @@ def _partition_command(argv: List[str]) -> int:
             return 1
 
     if args.save_dir:
-        out = Path(args.save_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        saved = _save_formats(result, out)
+        saved = save_artifacts(result, args.save_dir)
         print(f"formats written: {', '.join(saved)}")
     return 0
-
-
-def _save_formats(result, out: Path) -> List[str]:
-    from repro.pipeline.serialize import save_assignment, save_format
-
-    saved = []
-    for side, fmt in (("hot", result.hot_format), ("cold", result.cold_format)):
-        if fmt is None:
-            continue
-        path = out / f"{side}_{type(fmt).__name__.lower()}.npz"
-        save_format(fmt, path)
-        saved.append(str(path))
-    chosen = result.partition.chosen
-    assignment_path = out / "assignment.npz"
-    save_assignment(
-        chosen.assignment, assignment_path, label=chosen.label, mode=chosen.mode.value
-    )
-    saved.append(str(assignment_path))
-    return saved
 
 
 # ----------------------------------------------------------------------
@@ -610,103 +608,6 @@ def _drain_on_sigterm() -> None:
         pass  # not the main thread (embedded use); caller handles signals
 
 
-def _delta_replay_command(argv: List[str]) -> int:
-    from repro.arch.configs import ARCHITECTURE_FACTORIES
-    from repro.experiments.deltastream import DEFAULT_EPSILON, delta_replay
-
-    parser = argparse.ArgumentParser(
-        prog="hottiles delta-replay",
-        description="Replay a seeded delta stream and gate incremental plan "
-        "repair against from-scratch replanning (docs/streaming.md)",
-    )
-    parser.add_argument(
-        "matrix",
-        help="benchmark short name (e.g. pap) or path to a MatrixMarket file",
-    )
-    parser.add_argument(
-        "--arch",
-        default="spade-sextans",
-        choices=sorted(ARCHITECTURE_FACTORIES),
-        help="target architecture",
-    )
-    parser.add_argument(
-        "--scale", type=int, default=4, help="system scale (SPADE-Sextans variants)"
-    )
-    parser.add_argument(
-        "--steps", type=int, default=5, help="delta batches to replay (default: 5)"
-    )
-    parser.add_argument(
-        "--inserts", type=int, default=60, help="inserts per batch (default: 60)"
-    )
-    parser.add_argument(
-        "--deletes", type=int, default=40, help="deletes per batch (default: 40)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="delta stream seed")
-    parser.add_argument(
-        "--epsilon",
-        type=float,
-        default=DEFAULT_EPSILON,
-        help="relative predicted-runtime drift allowed between the repaired "
-        f"and from-scratch plan (default: {DEFAULT_EPSILON})",
-    )
-    parser.add_argument(
-        "--insert-region",
-        nargs=4,
-        type=int,
-        default=None,
-        metavar=("ROW_LO", "ROW_HI", "COL_LO", "COL_HI"),
-        help="concentrate inserts in this half-open region (hot-spot churn)",
-    )
-    parser.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="also write the replay as a JSON report (the CI artifact)",
-    )
-    args = parser.parse_args(argv)
-    if args.steps < 1:
-        parser.error(f"--steps must be >= 1, got {args.steps}")
-    for flag, count in (("--inserts", args.inserts), ("--deletes", args.deletes)):
-        if count < 0:
-            parser.error(f"{flag} must be >= 0, got {count}")
-    # NaN fails every comparison, so it would fail the gate after a whole
-    # replay, and an infinite epsilon would pass any drift.
-    if not 0 <= args.epsilon < float("inf"):
-        parser.error(f"--epsilon must be finite and >= 0, got {args.epsilon:g}")
-
-    # A usage error before the replay builds the architecture itself.
-    _architecture_arg(parser, args.arch, args.scale)
-    matrix = _matrix_arg(parser, args.matrix)
-    try:
-        result = delta_replay(
-            matrix,
-            arch_name=args.arch,
-            steps=args.steps,
-            inserts=args.inserts,
-            deletes=args.deletes,
-            seed=args.seed,
-            scale=args.scale,
-            epsilon=args.epsilon,
-            insert_region=args.insert_region,
-            label=args.matrix,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    print(result.render())
-    print(
-        f"max rel err {result.max_rel_err():.2e} (eps {args.epsilon:g}), "
-        f"mean repaired fraction {result.mean_repaired_fraction():.0%}, "
-        f"bit-identical {'yes' if result.all_bit_identical() else 'NO'}"
-    )
-    if args.json:
-        result.save_json(args.json)
-        print(f"report written to {args.json}")
-    if not result.passes():
-        print("delta replay gate FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cache_command(argv: List[str]) -> int:
     from repro.experiments.cache import ResultCache
 
@@ -759,9 +660,6 @@ SUBCOMMANDS: Dict[str, Tuple[Callable[[List[str]], int], str]] = {
     ),
     "sweep": (_sweep_command, "bandwidth / K / cold-worker-count sensitivity sweeps"),
     "serve": (_serve_command, "run the HTTP partition-planning service"),
-    "delta-replay": (
-        _delta_replay_command, "seeded delta stream: incremental repair vs scratch"
-    ),
     "cache": (_cache_command, "experiment result cache maintenance (stats, clear)"),
     "trace": (_trace_command, "profile one run into a Chrome-trace/Perfetto JSON"),
     "fidelity": (

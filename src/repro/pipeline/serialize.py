@@ -18,13 +18,19 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Type, Union
+from typing import Dict, List, Type, Union
 
 import numpy as np
 
 from repro.pipeline.formats import AnyFormat, TiledCoo, TiledCsr, UntiledCoo, UntiledCsr
 
-__all__ = ["save_format", "load_format", "save_assignment", "load_assignment"]
+__all__ = [
+    "save_format",
+    "load_format",
+    "save_assignment",
+    "load_assignment",
+    "save_artifacts",
+]
 
 _FORMAT_TYPES: Dict[str, Type] = {
     cls.__name__: cls for cls in (UntiledCoo, TiledCoo, UntiledCsr, TiledCsr)
@@ -128,3 +134,29 @@ def load_assignment(path: Union[str, Path]):
             )
         except KeyError as exc:
             raise ValueError(f"{path} is not a saved assignment") from exc
+
+
+def save_artifacts(preprocess, out: Union[str, Path]) -> List[str]:
+    """Write one preprocessing run's artifacts into the directory ``out``.
+
+    Each format present goes to ``{side}_{format}.npz`` (e.g.
+    ``hot_tiledcsr.npz``) and the chosen assignment, with its label and
+    mode, to ``assignment.npz``.  Returns the written paths.
+    """
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    saved: List[str] = []
+    for side, fmt in (("hot", preprocess.hot_format), ("cold", preprocess.cold_format)):
+        if fmt is None:
+            continue
+        path = save_format(fmt, out / f"{side}_{type(fmt).__name__.lower()}.npz")
+        saved.append(str(path))
+    chosen = preprocess.partition.chosen
+    path = save_assignment(
+        chosen.assignment,
+        out / "assignment.npz",
+        label=chosen.label,
+        mode=chosen.mode.value,
+    )
+    saved.append(str(path))
+    return saved

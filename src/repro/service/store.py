@@ -70,25 +70,9 @@ class PlanStore:
         the :class:`PlanResult` (written last, into the results cache)
         is the only publication point readers trust.
         """
-        from repro.pipeline.serialize import save_assignment, save_format
+        from repro.pipeline.serialize import save_artifacts
 
-        out = self.artifacts_dir / digest
-        out.mkdir(parents=True, exist_ok=True)
-        saved: List[str] = []
-        for side, fmt in (("hot", preprocess.hot_format), ("cold", preprocess.cold_format)):
-            if fmt is None:
-                continue
-            path = save_format(fmt, out / f"{side}_{type(fmt).__name__.lower()}.npz")
-            saved.append(str(path))
-        chosen = preprocess.partition.chosen
-        path = save_assignment(
-            chosen.assignment,
-            out / "assignment.npz",
-            label=chosen.label,
-            mode=chosen.mode.value,
-        )
-        saved.append(str(path))
-        return saved
+        return save_artifacts(preprocess, self.artifacts_dir / digest)
 
     # ------------------------------------------------------------------
     @property

@@ -22,9 +22,8 @@ only the matrix between batches (a :class:`~repro.streaming.lineage.
 MatrixLineage`) pays for a tiling only while it repairs;
 :func:`apply_delta_tiled` is the same step started from a tiling.
 
-The differential tests in ``tests/streaming/`` and the ``delta-replay``
-experiment check the merge against an independent rebuild of the
-mutated matrix.
+The differential tests in ``tests/streaming/`` check the merge against
+an independent rebuild of the mutated matrix.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ frozen, which makes :meth:`DeltaBatch.content_digest` a stable content
 address -- the lineage-chain component of a repaired plan's digest.
 
 Seeded generators (:meth:`DeltaBatch.random`, :func:`delta_stream`)
-produce reproducible mutation workloads for the differential tests, the
-``hottiles delta-replay`` experiment, and CI.
+produce reproducible mutation workloads for the differential tests and
+the benchmark's serve-deltas workload.
 """
 
 from __future__ import annotations
@@ -222,8 +222,7 @@ def delta_stream(
 
     Each batch is generated against the *current* matrix (so deletes always
     name live nonzeros) with an independent per-step sub-seed, then applied
-    to produce the next state.  The experiment harness and CI smoke replay
-    these streams both incrementally and from scratch.
+    to produce the next state.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")

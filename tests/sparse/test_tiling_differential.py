@@ -17,13 +17,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.deltastream import tiled_bit_identical
 from repro.sparse import generators
 from repro.sparse.matrix import SparseMatrix
 from repro.sparse.tiling import TiledMatrix
 from repro.streaming.apply import apply_delta_tiled
 from repro.streaming.delta import DeltaBatch
 from tests.sparse import reference_tiling as reference
+from tests.streaming.differential import tiled_bit_identical
 
 
 def assert_identical(matrix, th, tw):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.experiments.deltastream import tiled_bit_identical
 from repro.sparse.matrix import SparseMatrix
 from repro.sparse.tiling import TiledMatrix
 from repro.streaming.apply import apply_delta_matrix, apply_delta_tiled
 from repro.streaming.delta import DeltaBatch
+from tests.streaming.differential import tiled_bit_identical
 
 
 def expected_dense(matrix, delta):

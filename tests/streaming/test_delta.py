@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.streaming.apply import apply_delta_matrix
 from repro.streaming.delta import DeltaBatch, delta_stream
 
 
@@ -117,15 +118,30 @@ class TestGenerators:
         assert batch.insert_rows.min() >= 100 and batch.insert_rows.max() < 200
         assert batch.insert_cols.min() >= 300 and batch.insert_cols.max() < 400
 
+    @pytest.mark.parametrize(
+        "region",
+        # small_rmat is 1024 x 1024.
+        [(0, 0, 0, 0), (200, 100, 300, 400), (0, 1025, 0, 10), (-1, 10, 0, 10)],
+        ids=["empty", "inverted", "out-of-shape", "negative"],
+    )
+    def test_bad_insert_region_rejected(self, small_rmat, region):
+        with pytest.raises(ValueError, match="bad insert_region"):
+            DeltaBatch.random(
+                small_rmat, inserts=5, deletes=0, seed=2, insert_region=region
+            )
+
     def test_delta_stream_chains_matrices(self, small_rmat):
         states = list(delta_stream(small_rmat, steps=3, inserts=20, deletes=10, seed=0))
         assert len(states) == 3
         current = small_rmat
         for batch, after in states:
-            assert after.content_digest() == current.apply_delta(batch).content_digest()
+            merged, info = apply_delta_matrix(current, batch)
+            assert after.content_digest() == merged.content_digest()
+            # Every delete names a live nonzero; nnz moves by the brand-new
+            # inserts minus the deletes.
+            assert info.del_rows.size == batch.n_deletes
+            assert after.nnz == current.nnz + info.ins_rows.size - info.del_rows.size
             current = after
-        # nnz moved by the net structural change each step
-        assert current.nnz != small_rmat.nnz or True
 
     def test_delta_stream_is_reproducible(self, small_rmat):
         a = [m.content_digest() for _, m in delta_stream(small_rmat, 3, 20, 10, seed=5)]

@@ -413,3 +413,38 @@ class TestHttpDeltaEndpoint:
         assert stats["counters"]["deltas_applied"] == 1
         assert stats["counters"]["tiles_repaired"] >= 0
         assert stats["lineages"] == 1
+
+    def test_chain_stale_root_and_empty_batch(self, live_server):
+        # Three chained deltas, the superseded root answered with 409 and
+        # the live head, then an empty batch answered from the head facts
+        # the lineage holds: same digest, same nnz and tile count.
+        base, _ = live_server
+        generator = {"kind": "rmat", "scale": 9, "nnz": 6000, "seed": 0}
+        _, body = self.http(base, "/plan", {"generator": generator})
+        root = head = body["plan"]["digest"]
+        for step in range(3):
+            delta = {
+                "insert_rows": [step, step + 1],
+                "insert_cols": [0, step],
+                "insert_vals": [1.5, -2.0],
+            }
+            status, resp = self.http(base, f"/matrices/{head}/delta", delta)
+            assert status == 200, resp
+            assert resp["applied"]["prev_digest"] == head
+            head = resp["applied"]["new_digest"]
+            assert resp["plan"]["digest"] == head
+        last = resp["applied"]
+        status, resp = self.http(
+            base, f"/matrices/{root}/delta", {"delete_rows": [0], "delete_cols": [0]}
+        )
+        assert status == 409
+        assert resp["head_digest"] == head
+        empty = dict.fromkeys(DELTA, [])
+        status, resp = self.http(base, f"/matrices/{head}/delta", empty)
+        assert status == 200, resp
+        applied = resp["applied"]
+        assert applied["prev_digest"] == applied["new_digest"] == head
+        assert (applied["nnz"], applied["n_tiles"]) == (last["nnz"], last["n_tiles"])
+        _, stats = self.http(base, "/stats")
+        assert stats["counters"]["deltas_applied"] == 3
+        assert stats["lineages"] == 1

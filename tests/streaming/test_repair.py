@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.arch.configs import build_architecture
 from repro.core.partition import HotTilesPartitioner, plan_cache_from, repair_plan
-from repro.experiments.deltastream import delta_replay
+from repro.experiments.matrices import load_matrix
 from repro.sparse.tiling import TiledMatrix
 from repro.streaming.apply import apply_delta_tiled
 from repro.streaming.delta import DeltaBatch
+from tests.streaming.differential import rebuild_without_merge, tiled_bit_identical
 
 EPSILON = 0.01
 
@@ -124,29 +126,25 @@ class TestRepairParity:
             assert rel <= EPSILON
             assert_same_choice(outcome.result.chosen, scratch.chosen)
 
-
-class TestDeltaReplayExperiment:
-    def test_gate_passes_on_rmat(self, small_rmat):
-        result = delta_replay(
-            small_rmat, steps=3, inserts=60, deletes=40, seed=0, label="rmat10"
-        )
-        assert result.passes()
-        assert result.all_bit_identical()
-        assert result.max_rel_err() <= result.epsilon
-        assert 0.0 < result.mean_repaired_fraction() < 1.0
-        assert len(result.rows) == 3
-
-    def test_json_report_round_trips(self, small_uniform, tmp_path):
-        import json
-
-        result = delta_replay(small_uniform, steps=2, seed=1, label="uniform")
-        path = result.save_json(str(tmp_path / "replay.json"))
-        with open(path) as f:
-            data = json.loads(f.read())
-        assert data["passes"] is True
-        assert len(data["rows"]) == 2
-        assert data["rows"][0]["bit_identical"] is True
-
-    def test_unknown_arch_rejected(self, small_rmat):
-        with pytest.raises(ValueError):
-            delta_replay(small_rmat, arch_name="tpu")
+    @pytest.mark.parametrize("short", ["pap", "ski"])
+    def test_benchmark_matrix_stream_matches_rebuild_and_scratch(self, short):
+        # Benchmark matrices at full size on SPADE-Sextans x4: pap's
+        # batches only touch its full tiles, ski's add brand-new tiles
+        # every step.  After each of 4 chained batches the merged matrix
+        # and its tiling equal a rebuild that does not call the merge, and
+        # the repaired plan equals from-scratch partitioning of it.
+        arch = build_architecture("spade-sextans", 4)
+        partitioner = HotTilesPartitioner(arch)
+        tiled = make_tiled(load_matrix(short), arch)
+        cache = plan_cache_from(partitioner, tiled)
+        for step in range(4):
+            delta = DeltaBatch.random(tiled.matrix, inserts=80, deletes=50, seed=step)
+            rebuilt = make_tiled(rebuild_without_merge(tiled.matrix, delta), arch)
+            tiled, report = apply_delta_tiled(tiled, delta)
+            assert tiled_bit_identical(tiled, rebuilt)
+            outcome = repair_plan(partitioner, tiled, cache, report.dirty_tile_keys)
+            cache = outcome.cache
+            assert_same_choice(
+                outcome.result.chosen, partitioner.partition(rebuilt).chosen
+            )
+            assert outcome.stats.repaired_fraction < 1.0

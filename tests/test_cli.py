@@ -122,6 +122,23 @@ class TestPartitionCommand:
         loaded = np.load(files[0])
         assert len(loaded.files) > 0
 
+    def test_save_dir_writes_the_plan_store_layout(self, capsys, tmp_path):
+        from repro.arch.configs import spade_sextans
+        from repro.pipeline.preprocess import HotTilesPreprocessor
+        from repro.service.store import PlanStore
+        from repro.sparse.mmio import read_matrix_market
+
+        path = self._write_matrix(tmp_path)
+        out_dir = tmp_path / "formats"
+        assert main(["partition", path, "--save-dir", str(out_dir)]) == 0
+        pre = HotTilesPreprocessor(spade_sextans(4)).run(read_matrix_market(path))
+        store = PlanStore(tmp_path / "plans")
+        digest = "ab" * 32
+        store.save_artifacts(digest, pre)
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == sorted(p.name for p in (store.artifacts_dir / digest).iterdir())
+        assert "assignment.npz" in names and len(names) == 3  # hot, cold, assignment
+
     def test_partition_piuma(self, capsys, tmp_path):
         path = self._write_matrix(tmp_path)
         assert main(["partition", path, "--arch", "piuma"]) == 0
@@ -170,10 +187,6 @@ class TestBadInputIsAUsageError:
              "--points must be finite and at least 1 for --kind k"),
             (["sweep", "pap", "--kind", "cold-count", "--points", "inf"],
              "--points must be finite and at least 1 for --kind cold-count"),
-            (["delta-replay", "{missing}"], "cannot read matrix '{missing}': [Errno 2]"),
-            (["delta-replay", "{bad}"], "row index 4 out of range"),
-            (["delta-replay", "pap", "--scale", "0"],
-             "--scale 0: scales must be non-negative"),
             (["fig18", "--jobs", "0", "--subset", "ski"], "--jobs must be >= 1, got 0"),
             (["fig10", "--jobs", "0", "--subset", "ski"], "--jobs must be >= 1, got 0"),
             (["sweep", "ski", "--jobs", "0"], "--jobs must be >= 1, got 0"),
@@ -181,26 +194,22 @@ class TestBadInputIsAUsageError:
              "--cache-dir: cache dir {bad} exists and is not a directory"),
             (["cache", "stats", "--cache-dir", "{bad}"],
              "--cache-dir: cache dir {bad} exists and is not a directory"),
-            (["delta-replay", "pap", "--steps", "0"], "--steps must be >= 1, got 0"),
-            (["delta-replay", "pap", "--inserts", "-1"], "--inserts must be >= 0, got -1"),
-            (["delta-replay", "pap", "--deletes", "-1"], "--deletes must be >= 0, got -1"),
-            (["delta-replay", "pap", "--epsilon", "-1"],
-             "--epsilon must be finite and >= 0, got -1"),
-            (["delta-replay", "pap", "--epsilon", "nan"],
-             "--epsilon must be finite and >= 0, got nan"),
-            (["delta-replay", "pap", "--epsilon", "inf"],
-             "--epsilon must be finite and >= 0, got inf"),
+            (["fig18", "--subset", "bogus"],
+             "--subset bogus: fig18 takes Table V matrices (ski, pap,"),
+            (["fig05", "--subset", "bogus"],
+             "--subset bogus: fig05 takes a benchmark matrix (ski, pap,"),
+            (["fig15", "--subset", "ski"],
+             "--subset ski: fig15 takes Table VIII matrices (gea, mou,"),
+            (["all", "--subset", "ski"],
+             "--subset ski: fig15 takes Table VIII matrices (gea, mou,"),
         ],
         ids=["partition-missing", "partition-malformed", "partition-scale-0",
              "trace-missing", "trace-malformed", "trace-scale-negative",
              "sweep-missing", "sweep-malformed", "sweep-scale-0", "sweep-points-0",
              "sweep-points-nan", "sweep-k-fraction", "sweep-cold-count-inf",
-             "delta-replay-missing", "delta-replay-malformed", "delta-replay-scale-0",
              "fig18-jobs-0", "fig10-jobs-0", "sweep-jobs-0", "fig18-cache-dir-file",
-             "cache-stats-cache-dir-file", "delta-replay-steps-0",
-             "delta-replay-inserts-negative", "delta-replay-deletes-negative",
-             "delta-replay-epsilon-negative", "delta-replay-epsilon-nan",
-             "delta-replay-epsilon-inf"],
+             "cache-stats-cache-dir-file", "fig18-subset-unknown",
+             "fig05-subset-unknown", "fig15-subset-table-v", "all-subset-table-v"],
     )
     def test_exits_2_with_one_error_line(self, capsys, tmp_path, argv, message):
         bad = tmp_path / "bad.mtx"
@@ -214,11 +223,13 @@ class TestBadInputIsAUsageError:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # nothing ran
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == [err.strip().splitlines()[-1]]
-        prog = "hottiles" if argv[0] in EXPERIMENTS else f"hottiles {argv[0]}"
+        experiment = argv[0] in EXPERIMENTS or argv[0] == "all"
+        prog = "hottiles" if experiment else f"hottiles {argv[0]}"
         assert errors[0].startswith(f"{prog}: error: ")
         assert message.format(**paths) in errors[0]
         assert not (tmp_path / "trace.json").exists()
@@ -278,9 +289,17 @@ class TestVersionAndUnknown:
             ["serve", "--cluster", "2"],
             ["serve", "--autoscale"],
             ["serve", "--no-degraded-fallback"],
+            ["delta-replay", "pap"],
         ],
     )
     def test_removed_flag_is_a_usage_error(self, capsys, argv):
+        # A removed flag gets argparse's error, a removed subcommand the
+        # unknown-subcommand hint; both exit 2.
+        if argv[0] not in SUBCOMMANDS:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"unknown experiment or subcommand: {argv[0]} --")
+            return
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -289,12 +308,11 @@ class TestVersionAndUnknown:
     def test_new_subcommands_listed(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("serve", "delta-replay", "cache"):
+        for name in ("serve", "cache"):
             assert name in out
-        # Exactly these seven; any other name gets the unknown-subcommand hint.
+        # Exactly these six; any other name gets the unknown-subcommand hint.
         assert set(SUBCOMMANDS) == {
-            "partition", "sweep", "serve", "delta-replay", "cache", "trace",
-            "fidelity",
+            "partition", "sweep", "serve", "cache", "trace", "fidelity",
         }
 
 
